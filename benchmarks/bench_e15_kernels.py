@@ -1,20 +1,19 @@
-"""E15 — RR sampling-kernel ablation: vectorized vs legacy, packed payloads.
+"""E15 — the vectorized RR sampling kernel and packed payloads.
 
-The PR 3 claim: rebuilding `_reverse_reachable` as a frontier-batched NumPy
-kernel (gather the whole frontier's in-CSR slices per BFS level, one coin
-array per level) multiplies RR-set throughput wherever RR sets are
-non-trivial, and the packed flat-array representation makes greedy max-cover
-a bincount/argmax loop and chunk results two flat buffers.
+The PR 3 design: RR sampling is a frontier-batched NumPy kernel (gather the
+whole frontier's in-CSR slices per BFS level, one coin array per level),
+and the packed flat-array representation makes greedy max-cover a
+bincount/argmax loop and chunk results two flat buffers.  The
+node-at-a-time loop it replaced (3.8–4.9× slower in this experiment's
+history) was retired in PR 14; E19 compares the two remaining kernels.
 
 Setup: a ~50k-edge Erdős–Rényi digraph with uniform activation probability
 chosen slightly supercritical (mean RR set in the hundreds of nodes — the
-regime where query-time IM budgets actually land).  Both kernels sample the
-same distribution; they are timed end to end (``RRSetCollection.sample`` +
-``greedy_max_cover``).  ``extra_info`` records the measured
-``speedup_vs_legacy`` together with ``cpu_count`` (single-core runners —
-the kernels are single-threaded anyway) and the pickle payload bytes of the
-packed vs set-based batch representations.  No speedup is asserted; the
-trajectory lives in ``BENCH_HISTORY.jsonl``.
+regime where query-time IM budgets actually land), timed end to end
+(``RRSetCollection.sample`` + ``greedy_max_cover``).  ``extra_info``
+records ``cpu_count`` (single-core runners — the kernel is single-threaded
+anyway) and the pickle payload bytes of the packed vs set-based batch
+representations.  The trajectory lives in ``BENCH_HISTORY.jsonl``.
 """
 
 import os
@@ -65,29 +64,10 @@ def _record_shape(benchmark, graph, collection, kernel):
 
 
 @pytest.mark.benchmark(group="e15-kernels")
-def test_legacy_kernel_sample_and_cover(
-    benchmark, kernel_graph, activation_probabilities
-):
-    """Baseline: the historical node-at-a-time Python kernel."""
-    collection, seeds, _spread = benchmark.pedantic(
-        _sample_and_cover,
-        args=(kernel_graph, activation_probabilities, "legacy"),
-        rounds=2,
-        iterations=1,
-    )
-    assert len(seeds) == K
-    _record_shape(benchmark, kernel_graph, collection, "legacy")
-
-
-@pytest.mark.benchmark(group="e15-kernels")
 def test_vectorized_kernel_sample_and_cover(
     benchmark, kernel_graph, activation_probabilities
 ):
-    """Frontier-batched kernel, plus the measured speedup over legacy."""
-    legacy_started = time.perf_counter()
-    _sample_and_cover(kernel_graph, activation_probabilities, "legacy")
-    legacy_seconds = time.perf_counter() - legacy_started
-
+    """The frontier-batched kernel (the default)."""
     collection, seeds, _spread = benchmark.pedantic(
         _sample_and_cover,
         args=(kernel_graph, activation_probabilities, "vectorized"),
@@ -96,11 +76,6 @@ def test_vectorized_kernel_sample_and_cover(
     )
     assert len(seeds) == K
     _record_shape(benchmark, kernel_graph, collection, "vectorized")
-    benchmark.extra_info["legacy_seconds"] = round(legacy_seconds, 4)
-    if benchmark.stats is not None:  # absent under --benchmark-disable
-        benchmark.extra_info["speedup_vs_legacy"] = round(
-            legacy_seconds / benchmark.stats.stats.mean, 2
-        )
 
 
 @pytest.mark.benchmark(group="e15-kernels")

@@ -1,4 +1,4 @@
-"""E19 — native RR kernel: compiled chunk-batched sampling vs the others.
+"""E19 — native RR kernel: compiled chunk-batched sampling vs vectorized.
 
 The PR 7 claim: moving the chunk loop into a compiled core — one C call
 per chunk of roots, packed ``(nodes, offsets)`` written directly, GIL
@@ -9,13 +9,13 @@ from seed selection without moving a single tie-break.
 
 Setup mirrors E15 (a ~50k-edge Erdős–Rényi digraph, activation slightly
 supercritical so mean RR sets land in the hundreds of nodes) so the two
-experiments' histories compare directly.  All three kernels are timed end
-to end (``RRSetCollection.sample`` + ``greedy_max_cover``).  ``extra_info``
+experiments' histories compare directly.  Both kernels are timed end to
+end (``RRSetCollection.sample`` + ``greedy_max_cover``).  ``extra_info``
 records ``cpu_count`` (the kernels are single-threaded), whether the run
 used ``native-compiled`` or ``native-fallback`` (the acceptance bar — a
 2× margin over ``vectorized`` — applies to compiled runs only), and the
-measured ``speedup_vs_vectorized`` / ``speedup_vs_legacy``.  The
-trajectory lives in ``BENCH_HISTORY.jsonl``.
+measured ``speedup_vs_vectorized``.  The trajectory lives in
+``BENCH_HISTORY.jsonl``.
 """
 
 import os
@@ -73,25 +73,10 @@ def _record_shape(benchmark, graph, collection, kernel):
 
 
 @pytest.mark.benchmark(group="e19-native-kernel")
-def test_legacy_kernel_sample_and_cover(
-    benchmark, kernel_graph, activation_probabilities
-):
-    """Baseline 1: the historical node-at-a-time Python kernel."""
-    collection, seeds, _spread = benchmark.pedantic(
-        _sample_and_cover,
-        args=(kernel_graph, activation_probabilities, "legacy"),
-        rounds=2,
-        iterations=1,
-    )
-    assert len(seeds) == K
-    _record_shape(benchmark, kernel_graph, collection, "legacy")
-
-
-@pytest.mark.benchmark(group="e19-native-kernel")
 def test_vectorized_kernel_sample_and_cover(
     benchmark, kernel_graph, activation_probabilities
 ):
-    """Baseline 2: the frontier-batched NumPy kernel (the default)."""
+    """Baseline: the frontier-batched NumPy kernel (the default)."""
     collection, seeds, _spread = benchmark.pedantic(
         _sample_and_cover,
         args=(kernel_graph, activation_probabilities, "vectorized"),
@@ -106,11 +91,8 @@ def test_vectorized_kernel_sample_and_cover(
 def test_native_kernel_sample_and_cover(
     benchmark, kernel_graph, activation_probabilities
 ):
-    """The chunk-batched native kernel, with both baselines re-timed
-    in-process so the recorded speedups come off the same machine state."""
-    legacy_seconds = _time_once(
-        kernel_graph, activation_probabilities, "legacy"
-    )
+    """The chunk-batched native kernel, with the baseline re-timed
+    in-process so the recorded speedup comes off the same machine state."""
     vectorized_seconds = _time_once(
         kernel_graph, activation_probabilities, "vectorized"
     )
@@ -123,13 +105,8 @@ def test_native_kernel_sample_and_cover(
     )
     assert len(seeds) == K
     _record_shape(benchmark, kernel_graph, collection, "native")
-    benchmark.extra_info["legacy_seconds"] = round(legacy_seconds, 4)
     benchmark.extra_info["vectorized_seconds"] = round(vectorized_seconds, 4)
     if benchmark.stats is not None:  # absent under --benchmark-disable
-        mean = benchmark.stats.stats.mean
         benchmark.extra_info["speedup_vs_vectorized"] = round(
-            vectorized_seconds / mean, 2
-        )
-        benchmark.extra_info["speedup_vs_legacy"] = round(
-            legacy_seconds / mean, 2
+            vectorized_seconds / benchmark.stats.stats.mean, 2
         )

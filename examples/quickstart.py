@@ -47,10 +47,10 @@ def main() -> None:
         num_topic_samples=16,
         topic_sample_rr_sets=1500,
         oracle_samples=80,
-        # Index builds parallelise across a worker pool; with a fixed seed
-        # "threads" and "processes" give identical results at any worker
-        # count (the CLI equivalent is ``--backend threads --workers 4``;
-        # the "serial" default keeps the historical single-stream results).
+        # Index builds parallelise across a worker pool; the backend is pure
+        # scheduling — with a fixed seed "serial" (the default), "threads"
+        # and "processes" give identical results at any worker count (the
+        # CLI equivalent is ``--backend threads --workers 4``).
         execution_backend="threads",
         workers=4,
         seed=11,

@@ -18,7 +18,7 @@ Determinism contract: for a fixed seed, every backend at every worker
 count produces identical results, because work is chunked independently of
 the worker count and each chunk owns a spawned RNG stream (see
 :mod:`repro.backend.base`).  The guarantee holds per sampling kernel
-(``vectorized`` / ``legacy``); RR-set chunks travel as packed flat arrays,
+(``vectorized`` / ``native``); RR-set chunks travel as packed flat arrays,
 and :class:`ProcessPoolBackend` adopts the graph and edge-probability
 arrays once per worker instead of pickling them per chunk.
 """

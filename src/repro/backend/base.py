@@ -16,7 +16,7 @@ produces bit-identical results on :class:`~repro.backend.serial.SerialBackend`,
 :class:`~repro.backend.pools.ThreadPoolBackend` and
 :class:`~repro.backend.pools.ProcessPoolBackend`, at any worker count — the
 property the service layer's caching and replay guarantees rest on.  The
-guarantee is per sampling *kernel* (vectorized or legacy; see
+guarantee is per sampling *kernel* (vectorized or native; see
 :mod:`repro.propagation.kernels`): each kernel is self-deterministic, but
 the two draw in different orders and need not match each other.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import abc
 import os
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,8 +79,8 @@ def rr_chunk_plan(
     (a worker pool mapping chunks, or a cluster coordinator handing
     contiguous chunk ranges to shard processes) reproduces the exact
     sample batch as long as it concatenates chunk results in plan order.
-    With *root_cycle*, chunk ``c``'s slice follows the same
-    ``roots[i % len(roots)]`` cycling the serial sampler uses.
+    With *root_cycle*, set ``i`` of the batch is rooted at
+    ``root_cycle[i % len(root_cycle)]`` wherever the chunk bounds fall.
     """
     counts = [
         min(chunk_size, num_sets - start)
@@ -256,11 +256,10 @@ class ExecutionBackend(abc.ABC):
     ) -> PackedRRSets:
         """Sample *num_sets* RR sets in deterministic fixed-size chunks.
 
-        With explicit *roots*, chunk ``c``'s slice follows the same
-        ``roots[i % len(roots)]`` cycling the serial sampler uses, so
-        fixed-root semantics are preserved.  Chunk count and per-chunk
-        streams depend only on ``(num_sets, chunk_size, seed)``; results
-        are deterministic per *kernel*.
+        With explicit *roots*, set ``i`` is rooted at
+        ``roots[i % len(roots)]``.  Chunk count and per-chunk streams
+        depend only on ``(num_sets, chunk_size, seed)``; results are
+        deterministic per *kernel*.
         """
         check_positive(num_sets, "num_sets")
         check_positive(chunk_size, "chunk_size")
@@ -304,33 +303,3 @@ class ExecutionBackend(abc.ABC):
         """
         chunks = self.map_chunks(_sample_rr_chunk, tasks)
         return PackedRRSets.from_chunks(num_nodes, chunks)
-
-    def sample_rr_sets(
-        self,
-        graph: Any,
-        edge_probabilities: np.ndarray,
-        num_sets: int,
-        seed: SeedLike = None,
-        *,
-        roots: Optional[Sequence[int]] = None,
-        chunk_size: int = DEFAULT_RR_CHUNK_SIZE,
-        kernel: str = DEFAULT_RR_KERNEL,
-    ) -> Sequence[Set[int]]:
-        """Like :meth:`sample_rr_sets_packed`, viewed as Python sets.
-
-        Compatibility surface for callers that want the legacy
-        ``List[Set[int]]`` shape; the sampling itself runs packed and the
-        returned :class:`~repro.propagation.packed.PackedSetSequence`
-        materialises each set lazily on first access (no eager whole-batch
-        conversion), while still comparing equal to a list of the same
-        sets.
-        """
-        return self.sample_rr_sets_packed(
-            graph,
-            edge_probabilities,
-            num_sets,
-            seed,
-            roots=roots,
-            chunk_size=chunk_size,
-            kernel=kernel,
-        ).as_set_sequence()

@@ -65,18 +65,16 @@ per the server's ``Retry-After`` hint.
 
 Every system command also accepts ``--backend {serial,threads,processes}``
 and ``--workers N``: index builds and RR-set sampling run on the chosen
-execution backend.  ``threads`` and ``processes`` are deterministic and
-interchangeable — the same seed gives the same answers on either, at any
-worker count — while ``serial`` (the default) bypasses the backend layer
-and keeps the single-stream draw order.  ``query --batch`` with
+execution backend.  The backend is pure scheduling: the same seed gives
+the same answers on ``serial`` (the default), ``threads`` and
+``processes``, at any worker count.  ``query --batch`` with
 ``--workers > 1`` serves the batch through the concurrent executor.
-``--rr-kernel {vectorized,legacy,native}`` picks the RR sampling core:
-results are deterministic per kernel, and only ``legacy`` with ``--backend
-serial`` reproduces historical (pre-kernel) releases bit for bit.
-``native`` runs the chunk-batched compiled extension when it is built
-(``python setup.py build_ext --inplace`` or a ``pip install`` with a
-compiler) and a draw-for-draw identical pure-Python fallback otherwise —
-``octopus stats`` reports which via ``execution.native_kernel``.
+``--rr-kernel {vectorized,native}`` picks the RR sampling core: results
+are deterministic per kernel.  ``native`` runs the chunk-batched compiled
+extension when it is built (``python setup.py build_ext --inplace`` or a
+``pip install`` with a compiler) and a draw-for-draw identical pure-Python
+fallback otherwise — ``octopus stats`` reports which via
+``execution.native_kernel``.
 """
 
 from __future__ import annotations
@@ -149,9 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("serial", "threads", "processes"),
             default="serial",
             help="execution backend for index builds and RR sampling; "
-            "threads and processes give identical answers to each other "
-            "for a fixed seed at any --workers, while serial (default) "
-            "preserves the historical single-stream results",
+            "pure scheduling — serial (default), threads and processes "
+            "give identical answers for a fixed seed at any --workers",
         )
         sub.add_argument(
             "--workers",
@@ -161,11 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--rr-kernel",
-            choices=("vectorized", "legacy", "native"),
+            choices=("vectorized", "native"),
             default="vectorized",
             help="RR sampling kernel: the frontier-batched vectorized core "
-            "(default), the historical node-at-a-time legacy core, or the "
-            "chunk-batched native core (compiled extension when built, "
+            "(default) or the chunk-batched native core (compiled "
+            "extension when built, "
             "identical pure-Python fallback otherwise); each is "
             "deterministic for a fixed seed, but they draw in different "
             "orders and give different (equally distributed) samples",

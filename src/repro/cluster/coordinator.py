@@ -21,15 +21,13 @@ of two paths:
   owner; everything else load-balances round-robin over live shards.
   Every shard replica is seed-identical to the single-process service, so
   the response bytes do not depend on the chosen shard.
-* **Distributed max-cover** — targeted-IM queries, when the configured
-  execution backend uses the chunked sampling scheme (``execution_backend
-  != "serial"``), fan out: the coordinator draws the query's audience-
-  weighted roots and builds the exact chunk plan
-  (:func:`repro.backend.base.rr_chunk_plan`) the single-process backend
-  would build, hands each shard a contiguous chunk range to sample and
-  hold resident, then runs the greedy seed-selection loop over the wire —
-  each round every shard reports its marginal-gain (coverage) vector, the
-  coordinator picks the argmax with the serial tie-break rule
+* **Distributed max-cover** — targeted-IM queries fan out: the
+  coordinator draws the query's audience-weighted roots and builds the
+  exact chunk plan (:func:`repro.backend.base.rr_chunk_plan`) the
+  single-process backend would build, hands each shard a contiguous chunk
+  range to sample and hold resident, then runs the greedy seed-selection
+  loop over the wire — each round every shard reports its marginal-gain
+  (coverage) vector, the coordinator picks the argmax with the serial tie-break rule
   (:func:`repro.cluster.merge.pick_cover_seed`) and broadcasts the chosen
   seed.  Because chunk streams are keyed by chunk index — never by shard
   — the sampled batch, the greedy selections and every float in the
@@ -783,17 +781,12 @@ class ClusterCoordinator:
             return None  # unhashable values fail validation downstream
 
     def _distributable(self, typed: ServiceRequest) -> bool:
-        """Whether the distributed max-cover path reproduces this config.
+        """Whether this request takes the distributed max-cover path.
 
-        Chunk-partitioned sampling is the semantics of the pooled backends;
-        with ``execution_backend="serial"`` the config pins the historical
-        single-stream draw order, which only a whole-query replica
-        reproduces — so serial configs always route.  A degraded cluster
-        also routes: the fan-out needs every shard's chunk range.
+        Targeted IM fans out; a degraded cluster routes instead, because
+        the fan-out needs every shard's chunk range.
         """
         if not isinstance(typed, TargetedInfluencersRequest):
-            return False
-        if self.service.backend.execution is None:
             return False
         return all(handle.is_alive() for handle in self._handles)
 

@@ -334,9 +334,7 @@ def shard_respawn_main(
         # session) for the index build; release them cleanly now — the
         # serve loop's fork hygiene would only drop the reference, and a
         # pool re-creates lazily if a routed request ever needs one.
-        execution = getattr(octopus, "execution", None)
-        if execution is not None and hasattr(execution, "close"):
-            execution.close()
+        octopus.execution.close()
         service = OctopusService(octopus)
     except BaseException as error:  # noqa: BLE001 — reported, then exit
         try:

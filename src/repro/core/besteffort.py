@@ -125,7 +125,7 @@ class BestEffortKeywordIM:
     num_samples / num_sets:
         Budget of the built-in oracles.
     rr_kernel:
-        Sampling kernel of the ``"ris"`` oracle (vectorized / legacy).
+        Sampling kernel of the ``"ris"`` oracle (vectorized / native).
     candidate_limit:
         Evaluate at most this many distinct candidates per query (best-effort
         degradation for hard latency budgets); ``None`` = unlimited.

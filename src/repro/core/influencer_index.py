@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.backend import ExecutionBackend, resolve_backend
 from repro.graph.digraph import SocialGraph
+from repro.propagation.kernels import gather_csr_slices
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import (
@@ -44,9 +46,6 @@ from repro.utils.validation import (
     check_positive,
     check_simplex,
 )
-
-if TYPE_CHECKING:  # pragma: no cover — typing only
-    from repro.backend.base import ExecutionBackend
 
 __all__ = ["Sketch", "InfluencerIndex"]
 
@@ -93,50 +92,12 @@ def _expand_sketch(
     The sketch-construction core, free of index state: each sketch is a
     pure function of ``(graph, envelope, root, rng stream)``, which is what
     lets builds be partitioned across workers without changing the result.
-    """
-    processed = 0
-    while sketch.frontier and processed < budget:
-        node = sketch.frontier.pop()
-        processed += 1
-        start, stop = graph.in_offsets[node], graph.in_offsets[node + 1]
-        degree = int(stop - start)
-        if degree == 0:
-            continue
-        thresholds = rng.random(degree)
-        edge_ids = graph.in_edge_ids[start:stop]
-        # Vectorized permanent pruning: an edge whose threshold exceeds the
-        # topic envelope can never be live for any γ.  The mask preserves
-        # edge order and the single rng.random(degree) block above keeps
-        # results bit-identical to the historical per-edge loop.
-        live = thresholds <= envelope[edge_ids]
-        live_count = int(np.count_nonzero(live))
-        sketch.edges_pruned += degree - live_count
-        if live_count == 0:
-            continue
-        live_sources = graph.in_sources[start:stop][live].tolist()
-        sketch.edge_sources.extend(live_sources)
-        sketch.edge_targets.extend([node] * live_count)
-        sketch.edge_ids.extend(edge_ids[live].tolist())
-        sketch.edge_thresholds.extend(thresholds[live].tolist())
-        for source in live_sources:
-            if source not in sketch.nodes:
-                sketch.nodes.add(source)
-                sketch.frontier.append(source)
 
-
-def _expand_sketch_frontier(
-    graph: SocialGraph,
-    envelope: np.ndarray,
-    sketch: Sketch,
-    rng: np.random.Generator,
-    budget: int,
-) -> None:
-    """Frontier-batched expansion: whole pending batches per iteration.
-
-    The frontier is consumed as a FIFO queue; each iteration takes the
-    longest budget-permitted prefix, gathers every taken node's in-CSR
-    slice with one fancy-indexing pass and draws **one** threshold array
-    for the whole batch instead of one ``rng.random`` call per node.
+    Frontier-batched: the frontier is consumed as a FIFO queue; each
+    iteration takes the longest budget-permitted prefix, gathers every
+    taken node's in-CSR slice with one fancy-indexing pass and draws
+    **one** threshold array for the whole batch instead of one
+    ``rng.random`` call per node.
 
     Determinism: the queue order is a pure function of the sketch state, a
     batch's thresholds are assigned in (queue order × CSR edge order), and
@@ -144,12 +105,7 @@ def _expand_sketch_frontier(
     equals ``random(a + b)`` split — so results are independent of where
     budget boundaries fall (chunked builds and delayed materialization
     replay the eager build exactly; the seed-stability suite proves it).
-    The draw order differs from the node-at-a-time discipline, so the two
-    expansion modes are each self-deterministic but not inter-compatible —
-    the same contract the RR sampling kernels follow.
     """
-    from repro.propagation.kernels import gather_csr_slices
-
     processed = 0
     while sketch.frontier and processed < budget:
         take = min(budget - processed, len(sketch.frontier))
@@ -184,25 +140,6 @@ def _expand_sketch_frontier(
                 sketch.frontier.append(source)
 
 
-#: Expansion disciplines: ``frontier`` is the batched kernel (the
-#: default), ``node`` the historical node-at-a-time loop kept as the
-#: bit-compatible reference for earlier releases' seeds.
-_EXPANSION_FUNCTIONS = {
-    "node": _expand_sketch,
-    "frontier": _expand_sketch_frontier,
-}
-
-
-def check_expansion(expansion: str) -> str:
-    """Validate an expansion-mode name."""
-    if expansion not in _EXPANSION_FUNCTIONS:
-        raise ValidationError(
-            f"expansion must be one of {sorted(_EXPANSION_FUNCTIONS)}, "
-            f"got {expansion!r}"
-        )
-    return expansion
-
-
 def _build_sketch_chunk(task) -> Tuple[List[Sketch], List[np.random.Generator]]:
     """Backend chunk worker: build a slice of sketches from their streams.
 
@@ -210,12 +147,11 @@ def _build_sketch_chunk(task) -> Tuple[List[Sketch], List[np.random.Generator]]:
     boundary the parent must adopt the returned RNG state so later delayed
     materialization continues each stream exactly where the build left it.
     """
-    graph, envelope, roots, rngs, budget, expansion = task
-    expand = _EXPANSION_FUNCTIONS[expansion]
+    graph, envelope, roots, rngs, budget = task
     sketches: List[Sketch] = []
     for root, rng in zip(roots, rngs):
         sketch = Sketch(root=int(root), nodes={int(root)}, frontier=[int(root)])
-        expand(graph, envelope, sketch, rng, budget)
+        _expand_sketch(graph, envelope, sketch, rng, budget)
         sketches.append(sketch)
     return sketches, list(rngs)
 
@@ -230,13 +166,10 @@ class InfluencerIndex:
         *,
         chunk_size: int = 100_000,
         seed: SeedLike = None,
-        backend: Optional["ExecutionBackend"] = None,
-        expansion: str = "frontier",
+        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         check_positive(num_sketches, "num_sketches")
         check_positive(chunk_size, "chunk_size")
-        self.expansion = check_expansion(expansion)
-        self._expand_function = _EXPANSION_FUNCTIONS[self.expansion]
         self.edge_weights = edge_weights
         self.graph = edge_weights.graph
         if self.graph.num_nodes == 0:
@@ -253,40 +186,29 @@ class InfluencerIndex:
         self.sketches: List[Sketch] = []
         self._membership: Dict[int, List[int]] = {}
         self._weight_cache: Dict[int, np.ndarray] = {}
-        if backend is None:
-            for index, root in enumerate(roots):
-                sketch = Sketch(
-                    root=int(root), nodes={int(root)}, frontier=[int(root)]
-                )
-                self._expand_function(
-                    self.graph, self._envelope, sketch, self._sketch_rngs[index],
-                    budget=chunk_size,
-                )
-                self.sketches.append(sketch)
-        else:
-            # Each sketch owns a pre-spawned stream, so partitioning the
-            # build changes nothing: any backend, any worker count, any
-            # chunking produces the sketches the serial loop produces.
-            span = max(1, -(-num_sketches // (backend.workers * 4)))
-            tasks = [
-                (
-                    self.graph,
-                    self._envelope,
-                    [int(root) for root in roots[start : start + span]],
-                    self._sketch_rngs[start : start + span],
-                    chunk_size,
-                    self.expansion,
-                )
-                for start in range(0, num_sketches, span)
-            ]
-            position = 0
-            for sketches, rngs in backend.map_chunks(_build_sketch_chunk, tasks):
-                self.sketches.extend(sketches)
-                # Adopt the advanced RNG state (identity for in-memory
-                # backends, a pickled round-trip for process pools).
-                for rng in rngs:
-                    self._sketch_rngs[position] = rng
-                    position += 1
+        # Each sketch owns a pre-spawned stream, so partitioning the build
+        # changes nothing: any backend, any worker count, any chunking
+        # produces the same sketches.
+        backend = resolve_backend(backend)
+        span = max(1, -(-num_sketches // (backend.workers * 4)))
+        tasks = [
+            (
+                self.graph,
+                self._envelope,
+                [int(root) for root in roots[start : start + span]],
+                self._sketch_rngs[start : start + span],
+                chunk_size,
+            )
+            for start in range(0, num_sketches, span)
+        ]
+        position = 0
+        for sketches, rngs in backend.map_chunks(_build_sketch_chunk, tasks):
+            self.sketches.extend(sketches)
+            # Adopt the advanced RNG state (identity for in-memory
+            # backends, a pickled round-trip for process pools).
+            for rng in rngs:
+                self._sketch_rngs[position] = rng
+                position += 1
         for index, sketch in enumerate(self.sketches):
             for node in sketch.nodes:
                 self._membership.setdefault(node, []).append(index)
@@ -297,7 +219,7 @@ class InfluencerIndex:
 
     def _expand(self, sketch_index: int, sketch: Sketch, budget: int) -> None:
         """Examine in-edges of up to *budget* frontier nodes."""
-        self._expand_function(
+        _expand_sketch(
             self.graph,
             self._envelope,
             sketch,
@@ -351,7 +273,7 @@ class InfluencerIndex:
         check_node_id(node, self.graph.num_nodes, "node")
         return list(self._membership.get(node, []))
 
-    def _live_reverse_reachable(
+    def _live_reachable(
         self, sketch_index: int, gamma: np.ndarray
     ) -> Set[int]:
         """Nodes reaching the sketch root via γ-live edges."""
@@ -383,7 +305,7 @@ class InfluencerIndex:
         for sketch_index in range(self.num_sketches):
             if not self._contains_after_materialize(sketch_index, user):
                 continue  # membership pruning: user cannot reach this root
-            if user in self._live_reverse_reachable(sketch_index, gamma):
+            if user in self._live_reachable(sketch_index, gamma):
                 hits += 1
         return self.graph.num_nodes * hits / self.num_sketches
 
@@ -457,7 +379,7 @@ class InfluencerIndex:
             members = self._materialize(sketch_index).nodes
             if seed_set.isdisjoint(members):
                 continue
-            reached = self._live_reverse_reachable(sketch_index, gamma)
+            reached = self._live_reachable(sketch_index, gamma)
             if not seed_set.isdisjoint(reached):
                 hits += 1
         return self.graph.num_nodes * hits / self.num_sketches

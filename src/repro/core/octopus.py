@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover — typing only
-    from repro.backend.base import ExecutionBackend
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.backend import ExecutionBackend, resolve_backend
 from repro.core.besteffort import BestEffortKeywordIM
 from repro.core.bounds import (
     LocalGraphBound,
@@ -47,6 +45,7 @@ from repro.core.topic_samples import TopicSampleIndex
 from repro.graph.digraph import SocialGraph
 from repro.index.inverted import InvertedIndex
 from repro.index.trie import Trie
+from repro.propagation.kernels import check_rr_kernel
 from repro.topics.edges import TopicEdgeWeights
 from repro.topics.model import TopicModel
 from repro.utils.rng import SeedLike, spawn_generators
@@ -78,10 +77,10 @@ class OctopusConfig:
     default_k: int = 10
     default_path_threshold: float = 0.01
     cache_capacity: int = 128  # default capacity of the service-layer result cache
+    # Pure scheduling: where chunked work runs, never what it computes.
     execution_backend: str = "serial"  # serial | threads | processes
     workers: Optional[int] = None  # worker count for pooled backends
-    rr_kernel: str = "vectorized"  # vectorized | legacy | native (RR core)
-    sketch_expansion: str = "frontier"  # frontier | node (sketch build core)
+    rr_kernel: str = "vectorized"  # vectorized | native (RR core)
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
@@ -95,12 +94,7 @@ class OctopusConfig:
                 "execution_backend must be 'serial', 'threads' or "
                 f"'processes', got {self.execution_backend!r}"
             )
-        from repro.propagation.kernels import check_rr_kernel
-
         check_rr_kernel(self.rr_kernel)
-        from repro.core.influencer_index import check_expansion
-
-        check_expansion(self.sketch_expansion)
         if self.workers is not None:
             check_positive(self.workers, "workers")
         for name in (
@@ -205,16 +199,9 @@ class Octopus:
 
     def _build_indexes(self) -> None:
         config = self.config
-        # ``serial`` means "no backend object at all": index builds take the
-        # historical sequential code paths, so seed behaviour stays
-        # bit-identical to releases that predate the backend layer.
-        self.execution: Optional["ExecutionBackend"] = None
-        if config.execution_backend != "serial":
-            from repro.backend import resolve_backend
-
-            self.execution = resolve_backend(
-                config.execution_backend, config.workers
-            )
+        self.execution: ExecutionBackend = resolve_backend(
+            config.execution_backend, config.workers
+        )
         rngs = spawn_generators(config.seed, 4)
         with self._stopwatch.phase("build.bounds"):
             if config.bound_estimator == "precomputation":
@@ -257,7 +244,6 @@ class Octopus:
                 chunk_size=config.sketch_chunk_size,
                 seed=rngs[2],
                 backend=self.execution,
-                expansion=config.sketch_expansion,
             )
         with self._stopwatch.phase("build.suggester"):
             self.suggester = KeywordSuggester(
@@ -516,12 +502,8 @@ class Octopus:
             stats["topic_samples.count"] = float(len(self.topic_sample_index))
         if hasattr(self.bound_estimator, "index_size"):
             stats["bounds.index_size"] = float(self.bound_estimator.index_size)
-        stats["execution.backend"] = (
-            self.execution.name if self.execution is not None else "serial"
-        )
-        stats["execution.workers"] = float(
-            self.execution.workers if self.execution is not None else 1
-        )
+        stats["execution.backend"] = self.execution.name
+        stats["execution.workers"] = float(self.execution.workers)
         stats["execution.rr_kernel"] = self.config.rr_kernel
         # Which implementation the "native" kernel would run on (and the
         # cover-update inner loop does run on): the compiled extension or
@@ -533,19 +515,14 @@ class Octopus:
         # How chunk payloads reach the parent: "inline" (same address
         # space — serial/threads), "shm" (zero-copy arena descriptors) or
         # "pickle" (the REPRO_SHM=0 twin / non-fork fallback).
-        stats["execution.payload_transport"] = (
-            getattr(self.execution, "payload_transport", "inline")
-            if self.execution is not None
-            else "inline"
-        )
+        stats["execution.payload_transport"] = self.execution.payload_transport
         stats["graph.num_nodes"] = float(self.graph.num_nodes)
         stats["graph.num_edges"] = float(self.graph.num_edges)
         return stats
 
     def close(self) -> None:
         """Release the execution backend's worker pool, if any."""
-        if self.execution is not None:
-            self.execution.close()
+        self.execution.close()
 
     def __enter__(self) -> "Octopus":
         return self

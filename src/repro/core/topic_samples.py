@@ -28,14 +28,17 @@ they differ by at most ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import ExecutionBackend, resolve_backend, seed_to_sequence
 from repro.core.besteffort import BestEffortKeywordIM
 from repro.im.base import IMResult
 from repro.im.ris import ris_im
 from repro.propagation.kernels import DEFAULT_RR_KERNEL, check_rr_kernel
+from repro.propagation.packed import PackedRRSets
+from repro.propagation.rrsets import RRSetCollection, sample_packed_rr_sets
 from repro.topics.edges import TopicEdgeWeights
 from repro.topics.priors import sample_topic_distributions
 from repro.utils.rng import SeedLike, as_generator
@@ -45,9 +48,6 @@ from repro.utils.validation import (
     check_positive,
     check_simplex,
 )
-
-if TYPE_CHECKING:  # pragma: no cover — typing only
-    from repro.backend.base import ExecutionBackend
 
 __all__ = ["TopicSample", "TopicSampleIndex"]
 
@@ -71,34 +71,30 @@ class TopicSample:
         return self.spreads_by_k[index]
 
 
-def _precompute_sample(
-    edge_weights: TopicEdgeWeights,
-    gamma: np.ndarray,
-    max_k: int,
-    num_rr_sets: int,
-    rng: np.random.Generator,
-    kernel: str = DEFAULT_RR_KERNEL,
-) -> TopicSample:
-    """Precompute one topic sample: IM seeds plus per-prefix spreads.
+def _precompute_sample(task) -> TopicSample:
+    """Backend chunk worker: one topic sample's IM seeds and prefix spreads.
 
-    Module-level so parallel index builds can ship it to worker processes;
-    each call consumes only its own *rng* stream, which is what makes the
-    partitioned build order-independent.
+    One sample is one backend task: like an RR chunk worker, it draws both
+    of its RR batches with the per-chunk core straight from its own spawned
+    stream, which is what makes the partitioned build order-independent.
     """
+    edge_weights, gamma, max_k, num_rr_sets, seed_sequence, kernel = task
+    rng = np.random.default_rng(seed_sequence)
     graph = edge_weights.graph
     probabilities = edge_weights.edge_probabilities(gamma)
-    result = ris_im(
-        graph, probabilities, max_k, num_sets=num_rr_sets, seed=rng, kernel=kernel
-    )
-    seeds_by_k: List[List[int]] = []
-    spreads_by_k: List[float] = []
+
+    def draw(count: int) -> RRSetCollection:
+        nodes, offsets = sample_packed_rr_sets(
+            graph, probabilities, count, rng, None, kernel
+        )
+        return RRSetCollection(graph, PackedRRSets(graph.num_nodes, nodes, offsets))
+
+    result = ris_im(graph, probabilities, max_k, collection=draw(num_rr_sets))
     # RR greedy returns nested prefixes; record each prefix's spread from
     # the same collection for consistency.
-    from repro.propagation.rrsets import RRSetCollection  # local: avoid cycle
-
-    collection = RRSetCollection.sample(
-        graph, probabilities, max(num_rr_sets // 2, 1), rng, kernel=kernel
-    )
+    collection = draw(max(num_rr_sets // 2, 1))
+    seeds_by_k: List[List[int]] = []
+    spreads_by_k: List[float] = []
     for k in range(1, len(result.seeds) + 1):
         prefix = result.seeds[:k]
         seeds_by_k.append(prefix)
@@ -108,22 +104,6 @@ def _precompute_sample(
     return TopicSample(
         gamma=gamma, seeds_by_k=seeds_by_k, spreads_by_k=spreads_by_k
     )
-
-
-def _precompute_sample_chunk(task) -> List[TopicSample]:
-    """Backend chunk worker: precompute a slice of the sample list."""
-    edge_weights, gammas, max_k, num_rr_sets, seed_sequences, kernel = task
-    return [
-        _precompute_sample(
-            edge_weights,
-            gamma,
-            max_k,
-            num_rr_sets,
-            np.random.default_rng(child),
-            kernel,
-        )
-        for gamma, child in zip(gammas, seed_sequences)
-    ]
 
 
 class TopicSampleIndex:
@@ -138,7 +118,7 @@ class TopicSampleIndex:
         concentration: float = 0.3,
         num_rr_sets: int = 4000,
         seed: SeedLike = None,
-        backend: Optional["ExecutionBackend"] = None,
+        backend: Optional[ExecutionBackend] = None,
         rr_kernel: str = DEFAULT_RR_KERNEL,
     ) -> None:
         check_positive(num_samples, "num_samples")
@@ -153,40 +133,16 @@ class TopicSampleIndex:
         )
         # Per-topic total edge probability mass, the T_z of the coupling gap.
         self.topic_mass = edge_weights.weights.sum(axis=0)
-        self.samples: List[TopicSample] = []
-        if backend is None:
-            # Historical sequential build: one stream shared across samples
-            # (with the legacy kernel, bit-identical to earlier releases).
-            for gamma in gammas:
-                self.samples.append(
-                    _precompute_sample(
-                        self.edge_weights,
-                        gamma,
-                        self.max_k,
-                        num_rr_sets,
-                        rng,
-                        rr_kernel,
-                    )
-                )
-        else:
-            # Partitioned build: one spawned stream per sample, so the
-            # result is identical for every backend at every worker count.
-            from repro.backend.base import seed_to_sequence
-
-            children = seed_to_sequence(rng).spawn(num_samples)
-            tasks = [
-                (
-                    self.edge_weights,
-                    [gamma],
-                    self.max_k,
-                    num_rr_sets,
-                    [child],
-                    rr_kernel,
-                )
-                for gamma, child in zip(gammas, children)
-            ]
-            for chunk in backend.map_chunks(_precompute_sample_chunk, tasks):
-                self.samples.extend(chunk)
+        # Partitioned build: one spawned stream per sample, so the result is
+        # identical for every backend at every worker count.
+        children = seed_to_sequence(rng).spawn(num_samples)
+        tasks = [
+            (self.edge_weights, gamma, self.max_k, num_rr_sets, child, rr_kernel)
+            for gamma, child in zip(gammas, children)
+        ]
+        self.samples: List[TopicSample] = resolve_backend(backend).map_chunks(
+            _precompute_sample, tasks
+        )
 
     # ------------------------------------------------------------------
 

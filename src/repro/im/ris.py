@@ -65,7 +65,7 @@ def ris_im(
 
     Passing an existing *collection* skips sampling — the topic-sample index
     reuses collections across offline precomputation this way.  *kernel*
-    selects the RR sampling core (vectorized / legacy).
+    selects the RR sampling core (vectorized / native).
     """
     check_positive(k, "k")
     if collection is None:

@@ -209,7 +209,8 @@ class LatencyHistogram:
                 lo = 0.0 if index == 0 else self._edges[index - 1]
                 hi = self._edges[index]
                 fraction = (target - previous) / count
-                return lo + fraction * (hi - lo)
+                # lo + (hi - lo) can round one ulp past hi; stay in the bucket.
+                return min(hi, lo + fraction * (hi - lo))
         return self._edges[-1]
 
     def percentiles(self) -> Dict[str, float]:

@@ -2,7 +2,7 @@
 
 Provides forward Monte-Carlo simulation, fixed live-edge possible worlds
 (shared-threshold coupling across topic distributions), reverse-reachable-set
-sampling [8] on pluggable kernels (frontier-batched vectorized / legacy /
+sampling [8] on pluggable kernels (frontier-batched vectorized /
 chunk-batched native with an optional compiled core) with packed flat-array
 storage, and the spread estimators built on them.
 """

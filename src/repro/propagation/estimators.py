@@ -47,10 +47,9 @@ class MonteCarloSpreadEstimator:
         edge_probabilities: np.ndarray,
         num_samples: int = 200,
         seed: SeedLike = None,
-        kernel: str = "vectorized",
     ) -> None:
         check_positive(num_samples, "num_samples")
-        self._cascade = IndependentCascade(graph, edge_probabilities, kernel)
+        self._cascade = IndependentCascade(graph, edge_probabilities)
         self.num_samples = num_samples
         self._rng = as_generator(seed)
 

@@ -18,16 +18,7 @@ from repro.propagation.kernels import gather_csr_slices
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError, check_node_id, check_positive
 
-__all__ = ["simulate_cascade", "CascadeTrace", "IndependentCascade", "IC_KERNELS"]
-
-#: Forward-simulation kernels: ``"vectorized"`` batches coin flips per
-#: frontier level; ``"legacy"`` is the historical node-at-a-time loop,
-#: kept bit-for-bit (same draws, same activation order) and pinned by
-#: golden unit tests.  Both are exact IC samplers — one coin per out-edge
-#: of each newly activated node — but their frontier orders diverge after
-#: the first level, so seeded cascades differ between kernels (never
-#: within one).
-IC_KERNELS = ("vectorized", "legacy")
+__all__ = ["simulate_cascade", "CascadeTrace", "IndependentCascade"]
 
 
 @dataclass
@@ -56,7 +47,6 @@ def simulate_cascade(
     seed: SeedLike = None,
     *,
     record_trace: bool = False,
-    kernel: str = "vectorized",
 ) -> CascadeTrace:
     """Simulate one IC cascade from *seeds*.
 
@@ -65,40 +55,13 @@ def simulate_cascade(
     *record_trace* is false the ``activation_edges`` list stays empty (faster
     and lighter for spread estimation).
 
-    *kernel* selects the implementation (see :data:`IC_KERNELS`): the
-    frontier-batched vectorized kernel by default, or the pinned
-    ``"legacy"`` node-at-a-time loop for reproducing historical seeded
-    cascades.
-    """
-    if kernel == "vectorized":
-        return _simulate_cascade_frontier(
-            graph, edge_probabilities, seeds, seed, record_trace
-        )
-    if kernel == "legacy":
-        return _simulate_cascade_legacy(
-            graph, edge_probabilities, seeds, seed, record_trace
-        )
-    raise ValidationError(
-        f"unknown IC kernel {kernel!r}; choose from {list(IC_KERNELS)}"
-    )
-
-
-def _simulate_cascade_frontier(
-    graph: SocialGraph,
-    edge_probabilities: np.ndarray,
-    seeds: Sequence[int],
-    seed: SeedLike,
-    record_trace: bool,
-) -> CascadeTrace:
-    """Frontier-batched cascade: one coin array per level.
-
-    Per level: gather the CSR out-slices of every frontier node into one
-    edge-index array (out-CSR position *is* the edge id), flip all the
-    level's coins in a single draw, drop targets that are already active,
-    and resolve same-level races with ``np.unique`` — the first successful
-    edge in gathered order (frontier order × CSR slice order, exactly the
-    legacy visit order) wins the target.  The next frontier is the sorted
-    winner set.
+    Frontier-batched, one coin array per level: gather the CSR out-slices
+    of every frontier node into one edge-index array (out-CSR position *is*
+    the edge id), flip all the level's coins in a single draw, drop targets
+    that are already active, and resolve same-level races with
+    ``np.unique`` — the first successful edge in gathered order (frontier
+    order × CSR slice order) wins the target.  The next frontier is the
+    sorted winner set.
     """
     rng = as_generator(seed)
     seed_tuple = _check_seeds(graph, seeds)
@@ -142,47 +105,6 @@ def _simulate_cascade_frontier(
     return CascadeTrace(seeds=seed_tuple, activated=activated, activation_edges=edges)
 
 
-def _simulate_cascade_legacy(
-    graph: SocialGraph,
-    edge_probabilities: np.ndarray,
-    seeds: Sequence[int],
-    seed: SeedLike,
-    record_trace: bool,
-) -> CascadeTrace:
-    """The historical node-at-a-time loop, preserved bit-for-bit.
-
-    Golden unit tests pin its seeded cascades (activated sets and trace
-    edges), so any refactor that changes a draw or the activation order
-    here is caught immediately.
-    """
-    rng = as_generator(seed)
-    seed_tuple = _check_seeds(graph, seeds)
-    activated: Set[int] = set(seed_tuple)
-    frontier: List[int] = list(seed_tuple)
-    edges: List[Tuple[int, int, int]] = []
-    while frontier:
-        next_frontier: List[int] = []
-        for node in frontier:
-            start, stop = graph.out_offsets[node], graph.out_offsets[node + 1]
-            degree = stop - start
-            if degree == 0:
-                continue
-            coins = rng.random(degree)
-            block = graph.out_targets[start:stop]
-            probabilities = edge_probabilities[start:stop]
-            hits = np.flatnonzero(coins < probabilities)
-            for offset in hits:
-                target = int(block[offset])
-                if target in activated:
-                    continue
-                activated.add(target)
-                next_frontier.append(target)
-                if record_trace:
-                    edges.append((int(start + offset), node, target))
-        frontier = next_frontier
-    return CascadeTrace(seeds=seed_tuple, activated=activated, activation_edges=edges)
-
-
 def _check_seeds(graph: SocialGraph, seeds: Sequence[int]) -> Tuple[int, ...]:
     if len(seeds) == 0:
         raise ValidationError("seed set must not be empty")
@@ -209,7 +131,6 @@ class IndependentCascade:
         self,
         graph: SocialGraph,
         edge_probabilities: np.ndarray,
-        kernel: str = "vectorized",
     ) -> None:
         probabilities = np.asarray(edge_probabilities, dtype=np.float64)
         if probabilities.shape != (graph.num_edges,):
@@ -219,13 +140,8 @@ class IndependentCascade:
             )
         if np.any(probabilities < 0.0) or np.any(probabilities > 1.0):
             raise ValidationError("edge probabilities must lie in [0, 1]")
-        if kernel not in IC_KERNELS:
-            raise ValidationError(
-                f"unknown IC kernel {kernel!r}; choose from {list(IC_KERNELS)}"
-            )
         self.graph = graph
         self.edge_probabilities = probabilities
-        self.kernel = kernel
 
     def simulate(
         self, seeds: Sequence[int], seed: SeedLike = None, *, record_trace: bool = False
@@ -237,7 +153,6 @@ class IndependentCascade:
             seeds,
             seed,
             record_trace=record_trace,
-            kernel=self.kernel,
         )
 
     def estimate_spread(

@@ -1,6 +1,6 @@
 """Sampling kernels for reverse-reachable sets.
 
-Three interchangeable kernels draw RR sets from an in-CSR graph:
+Two interchangeable kernels draw RR sets from an in-CSR graph:
 
 * ``"vectorized"`` (the default) — frontier-batched: per BFS level it
   gathers the in-CSR slices of the *whole* frontier at once (``np.repeat``
@@ -8,9 +8,6 @@ Three interchangeable kernels draw RR sets from an in-CSR graph:
   draws a single coin array for every gathered edge, and marks visits in a
   boolean scratch array.  No per-node Python iteration — the per-sample cost
   is a handful of NumPy calls per BFS level.
-* ``"legacy"`` — the historical node-at-a-time loop over Python sets
-  (:func:`repro.propagation.rrsets._reverse_reachable`), kept selectable for
-  bit-compatibility with earlier releases.
 * ``"native"`` — chunk-batched compiled C core with a draw-for-draw
   identical pure-NumPy fallback (:mod:`repro.propagation.native`): a whole
   chunk of roots goes into one call that writes the packed ``(nodes,
@@ -21,12 +18,12 @@ Three interchangeable kernels draw RR sets from an in-CSR graph:
 
 Each kernel is self-deterministic — a fixed seed reproduces its results on
 any backend at any worker count — but the kernels consume their RNG
-streams in different orders (per-node draws vs per-level draws vs the
-splitmix64 side stream), so their outputs need not match each other
-sample-for-sample.  They do sample the same distribution: every in-edge of
-every visited node is crossed with exactly one fresh coin, which is the
-lazy live-edge coupling of the IC model (see the exact world-enumeration
-tests in ``test_rr_kernels.py`` and ``test_native_kernel.py``).
+streams in different orders (per-level draws vs the splitmix64 side
+stream), so their outputs need not match each other sample-for-sample.
+They do sample the same distribution: every in-edge of every visited node
+is crossed with exactly one fresh coin, which is the lazy live-edge
+coupling of the IC model (see the exact world-enumeration tests in
+``test_rr_kernels.py`` and ``test_native_kernel.py``).
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ __all__ = [
 ]
 
 #: Recognised kernel names, in presentation order.
-RR_KERNELS = ("vectorized", "legacy", "native")
+RR_KERNELS = ("vectorized", "native")
 
 #: The kernel used when callers don't choose one.
 DEFAULT_RR_KERNEL = "vectorized"
@@ -92,8 +89,7 @@ def reverse_reachable_frontier(
     Returns the member nodes as an int64 array: the root first, then each
     BFS level's newly reached nodes in ascending order.  One coin array is
     drawn per level covering every gathered in-edge, so each edge is
-    examined at most once per sample — the IC distribution, like the legacy
-    kernel, just with a different draw order.
+    examined at most once per sample — the IC distribution.
 
     *visited* may supply a reusable all-``False`` boolean scratch array of
     length ``num_nodes``; the caller must clear the returned members from it

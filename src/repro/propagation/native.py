@@ -1,7 +1,7 @@
 """The ``"native"`` RR-sampling kernel: compiled core + pure-Python twin.
 
-The third sampling kernel (next to ``vectorized`` and ``legacy``) exists in
-two draw-for-draw identical implementations:
+The second sampling kernel (next to ``vectorized``) exists in two
+draw-for-draw identical implementations:
 
 * the **compiled** path — :mod:`repro.propagation._rrnative`, an optional C
   extension (built by ``python setup.py build_ext --inplace`` or a
@@ -105,8 +105,12 @@ _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
 
 
 def use_compiled() -> bool:
-    """Whether calls will run on the compiled extension right now."""
-    return HAVE_COMPILED and not _forced_fallback()
+    """Whether calls will run on the compiled extension right now.
+
+    ``REPRO_NATIVE`` is validated first, so a typo raises whether or not
+    the extension happens to be built.
+    """
+    return not _forced_fallback() and HAVE_COMPILED
 
 
 def kernel_provenance() -> str:

@@ -18,14 +18,13 @@ producers may append members in any deterministic order.
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.utils.validation import ValidationError
 
-__all__ = ["PackedRRSets", "PackedSetSequence"]
+__all__ = ["PackedRRSets"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -147,16 +146,6 @@ class PackedRRSets:
             for index in range(self.num_sets)
         ]
 
-    def as_set_sequence(self) -> "PackedSetSequence":
-        """A lazy ``Sequence[Set[int]]`` facade over the packed batch.
-
-        Unlike :meth:`to_sets`, no set is built until somebody indexes it
-        — the set-compatibility surface of the execution backends stops
-        paying an eager whole-batch conversion when callers only touch a
-        few sets (or none, when the packed form is what they really use).
-        """
-        return PackedSetSequence(self)
-
     # ------------------------------------------------------------------
     # Membership index (CSR node → set ids)
     # ------------------------------------------------------------------
@@ -219,60 +208,3 @@ class PackedRRSets:
             f"PackedRRSets(num_sets={self.num_sets}, "
             f"total_members={len(self.nodes)}, num_nodes={self.num_nodes})"
         )
-
-
-class PackedSetSequence(SequenceABC):
-    """Lazy ``Sequence[Set[int]]`` view of a :class:`PackedRRSets` batch.
-
-    Sets materialise one at a time on first access and are cached, so
-    repeated indexing stays O(set size) once and iteration costs exactly
-    one conversion per set — never the whole batch up front.  Equality
-    compares element-wise against any other sequence of sets, which keeps
-    the historical ``backend.sample_rr_sets(...) == [set(...), ...]``
-    comparisons working unchanged.
-    """
-
-    __slots__ = ("_packed", "_cache")
-
-    def __init__(self, packed: PackedRRSets) -> None:
-        self._packed = packed
-        self._cache: List[Optional[Set[int]]] = [None] * packed.num_sets
-
-    @property
-    def packed(self) -> PackedRRSets:
-        """The underlying packed batch (no conversion)."""
-        return self._packed
-
-    def __len__(self) -> int:
-        return self._packed.num_sets
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[position] for position in range(len(self))[index]]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"set index {index} out of range")
-        cached = self._cache[index]
-        if cached is None:
-            cached = set(self._packed.set_nodes(index).tolist())
-            self._cache[index] = cached
-        return cached
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PackedSetSequence) and other._packed is self._packed:
-            return True
-        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        if len(other) != len(self):
-            return False
-        return all(self[index] == other[index] for index in range(len(self)))
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # mutable-ish container semantics, like list
-
-    def __repr__(self) -> str:
-        return f"PackedSetSequence(num_sets={len(self)})"

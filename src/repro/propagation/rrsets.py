@@ -8,9 +8,8 @@ spread, and greedy maximum coverage over RR sets yields the standard
 query-time IM baseline and, with fixed thresholds, inside the influencer
 index of Section II-D.
 
-Sampling runs on one of three kernels (see :mod:`repro.propagation.kernels`):
-the frontier-batched ``"vectorized"`` kernel (default), the node-at-a-time
-``"legacy"`` kernel kept for bit-compatibility with earlier releases, or the
+Sampling runs on one of two kernels (see :mod:`repro.propagation.kernels`):
+the frontier-batched ``"vectorized"`` kernel (default) or the
 chunk-batched ``"native"`` kernel whose compiled C core (optional — a
 draw-for-draw identical NumPy fallback always works) emits the packed
 payload in one call per chunk.  Batches are stored packed
@@ -53,38 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
 __all__ = ["generate_rr_set", "sample_packed_rr_sets", "RRSetCollection"]
 
 
-def _reverse_reachable(
-    graph: SocialGraph,
-    edge_probabilities: np.ndarray,
-    root: int,
-    rng: np.random.Generator,
-) -> Set[int]:
-    """The legacy node-at-a-time sampling core (``rr_kernel="legacy"``).
-
-    *rng* must already be a ``Generator``.  Kept exactly as shipped in
-    earlier releases: it draws one coin block per visited node, so a fixed
-    seed reproduces historical results bit for bit.
-    """
-    visited: Set[int] = {root}
-    frontier: List[int] = [root]
-    while frontier:
-        node = frontier.pop()
-        start, stop = graph.in_offsets[node], graph.in_offsets[node + 1]
-        degree = stop - start
-        if degree == 0:
-            continue
-        coins = rng.random(degree)
-        sources = graph.in_sources[start:stop]
-        edge_ids = graph.in_edge_ids[start:stop]
-        hits = np.flatnonzero(coins < edge_probabilities[edge_ids])
-        for offset in hits:
-            source = int(sources[offset])
-            if source not in visited:
-                visited.add(source)
-                frontier.append(source)
-    return visited
-
-
 def sample_packed_rr_sets(
     graph: SocialGraph,
     edge_probabilities: np.ndarray,
@@ -95,11 +62,10 @@ def sample_packed_rr_sets(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sample *count* RR sets from one RNG stream into packed arrays.
 
-    The bulk-sampling core shared by the serial sampler and the execution
-    backends' chunk workers.  Roots are taken per index from *roots* when
-    given, otherwise drawn uniformly from *rng* — interleaved with the
-    sampling draws exactly as the historical sequential sampler interleaved
-    them, which is what keeps ``kernel="legacy"`` bit-compatible.
+    The per-chunk sampling core every execution backend's chunk worker
+    (and every cluster shard) runs.  Roots are taken per index from *roots*
+    when given, otherwise drawn uniformly from *rng*, interleaved with the
+    sampling draws.
 
     Returns the ``(nodes, offsets)`` chunk payload
     (:meth:`PackedRRSets.chunk_payload` form).  ``kernel="native"`` hands
@@ -118,28 +84,19 @@ def sample_packed_rr_sets(
             graph, edge_probabilities, count, rng, root_array
         )
     arrays: List[np.ndarray] = []
-    if kernel == "legacy":
-        for index in range(count):
-            if roots is not None:
-                root = int(roots[index])
-            else:
-                root = int(rng.integers(0, graph.num_nodes))
-            rr_set = _reverse_reachable(graph, edge_probabilities, root, rng)
-            arrays.append(np.fromiter(rr_set, dtype=np.int64, count=len(rr_set)))
-    else:
-        # One boolean scratch array per chunk; each sample clears only the
-        # entries it touched, so the per-sample reset is O(|RR set|).
-        scratch = np.zeros(graph.num_nodes, dtype=bool)
-        for index in range(count):
-            if roots is not None:
-                root = int(roots[index])
-            else:
-                root = int(rng.integers(0, graph.num_nodes))
-            members = reverse_reachable_frontier(
-                graph, edge_probabilities, root, rng, visited=scratch
-            )
-            scratch[members] = False
-            arrays.append(members)
+    # One boolean scratch array per chunk; each sample clears only the
+    # entries it touched, so the per-sample reset is O(|RR set|).
+    scratch = np.zeros(graph.num_nodes, dtype=bool)
+    for index in range(count):
+        if roots is not None:
+            root = int(roots[index])
+        else:
+            root = int(rng.integers(0, graph.num_nodes))
+        members = reverse_reachable_frontier(
+            graph, edge_probabilities, root, rng, visited=scratch
+        )
+        scratch[members] = False
+        arrays.append(members)
     return PackedRRSets.from_node_arrays(graph.num_nodes, arrays).chunk_payload()
 
 
@@ -155,8 +112,8 @@ def generate_rr_set(
     Performs a reverse BFS where each in-edge is crossed with its activation
     probability; coins are flipped lazily, so each edge is examined at most
     once per sample, which matches the IC distribution.  *kernel* selects
-    the frontier-batched vectorized core (default) or the legacy node-at-a-
-    time core (see :mod:`repro.propagation.kernels`).
+    the frontier-batched vectorized core (default) or the chunk-batched
+    native core (see :mod:`repro.propagation.kernels`).
 
     A shared :class:`~numpy.random.Generator` passed as *seed* is used
     directly (no per-call re-wrapping), so hot loops can hand one stream
@@ -169,8 +126,6 @@ def generate_rr_set(
     else:
         rng = as_generator(seed)
     edge_probabilities = np.asarray(edge_probabilities, dtype=np.float64)
-    if kernel == "legacy":
-        return _reverse_reachable(graph, edge_probabilities, root, rng)
     if kernel == "native":
         nodes, _offsets = native.sample_rr_chunk(
             graph,
@@ -230,40 +185,26 @@ class RRSetCollection:
     ) -> "RRSetCollection":
         """Sample *num_sets* RR sets with uniform (or given) roots.
 
-        Without a *backend* the historical single-stream sequential sampler
-        runs (with ``kernel="legacy"``, bit-identical to earlier releases).
-        With a *backend* the work is split into fixed-size chunks with
-        per-chunk spawned RNG streams, so the result is identical for every
-        backend at every worker count — serial, threads or processes (see
-        :mod:`repro.backend`).  Either way the result is deterministic per
-        kernel; the two kernels draw in different orders and need not match
-        each other.
+        The work is split into fixed-size chunks with per-chunk spawned RNG
+        streams (:meth:`ExecutionBackend.sample_rr_sets_packed`), so for a
+        fixed seed and kernel the result is identical on every *backend* at
+        every worker count; ``backend=None`` runs the chunks inline on a
+        :class:`~repro.backend.SerialBackend`.  The two kernels draw in
+        different orders and need not match each other.
         """
-        check_rr_kernel(kernel)
-        if backend is not None:
-            sample_kwargs = {"roots": roots, "kernel": kernel}
-            if chunk_size is not None:
-                sample_kwargs["chunk_size"] = chunk_size
-            packed = backend.sample_rr_sets_packed(
-                graph, edge_probabilities, num_sets, seed, **sample_kwargs
-            )
-            return cls(graph, packed)
-        check_positive(num_sets, "num_sets")
-        if graph.num_nodes == 0:
-            raise ValidationError("cannot sample RR sets on an empty graph")
-        root_cycle: Optional[List[int]] = None
-        if roots is not None:
-            root_cycle = [int(root) for root in roots]
-            for root in root_cycle:
-                check_node_id(root, graph.num_nodes, "root")
-            root_cycle = [
-                root_cycle[index % len(root_cycle)] for index in range(num_sets)
-            ]
-        rng = as_generator(seed)
-        nodes, offsets = sample_packed_rr_sets(
-            graph, edge_probabilities, num_sets, rng, root_cycle, kernel
+        # local: repro.backend imports this package
+        from repro.backend import DEFAULT_RR_CHUNK_SIZE, resolve_backend
+
+        packed = resolve_backend(backend).sample_rr_sets_packed(
+            graph,
+            edge_probabilities,
+            num_sets,
+            seed,
+            roots=roots,
+            chunk_size=DEFAULT_RR_CHUNK_SIZE if chunk_size is None else chunk_size,
+            kernel=kernel,
         )
-        return cls(graph, PackedRRSets(graph.num_nodes, nodes, offsets))
+        return cls(graph, packed)
 
     def __len__(self) -> int:
         return self.packed.num_sets

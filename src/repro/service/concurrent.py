@@ -81,10 +81,10 @@ def _adopt_worker_service(service: OctopusService) -> None:
       ``cache.clear()`` or model refresh).
     """
     global _WORKER_SERVICE
-    execution = getattr(service.backend, "execution", None)
-    if execution is not None and hasattr(execution, "_executor"):
+    execution = service.backend.execution
+    if hasattr(execution, "_executor"):
         execution._executor = None
-    if execution is not None and hasattr(execution, "_reset_shm_after_fork"):
+    if hasattr(execution, "_reset_shm_after_fork"):
         # The parent's shared-memory arenas belong to the parent's pool;
         # this replica must build its own (inside the inherited session
         # directory, which keeps crash cleanup with the original owner).

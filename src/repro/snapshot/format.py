@@ -295,6 +295,45 @@ def _read_arrays(
     return arrays
 
 
+#: ``OctopusConfig`` fields retired without a format bump, mapped to the one
+#: value an older snapshot may still carry for them: the retired default,
+#: which is what every build does now, so the key is dropped on load.
+_RETIRED_CONFIG_FIELDS = {"sketch_expansion": "frontier"}
+
+
+def _restore_config(payload: Dict[str, object]):
+    """The :class:`OctopusConfig` a snapshot header describes.
+
+    Anything this build cannot honour — an unknown field, a retired field
+    that would have changed answers, or a value a field no longer accepts
+    (``rr_kernel="legacy"``) — is a structured
+    :class:`SnapshotVersionError`, never a ``TypeError`` from the
+    dataclass constructor or a silently different system.
+    """
+    from dataclasses import fields
+
+    from repro.core import OctopusConfig
+    from repro.utils.validation import ValidationError
+
+    retired_defaults = _RETIRED_CONFIG_FIELDS.items()
+    config = {
+        key: value
+        for key, value in payload.items()
+        if (key, value) not in retired_defaults
+    }
+    known = {field.name for field in fields(OctopusConfig)}
+    unknown = sorted(set(config) - known)
+    try:
+        if unknown:
+            raise ValidationError(f"unknown or retired fields {unknown}")
+        return OctopusConfig(**config)
+    except ValidationError as error:
+        raise SnapshotVersionError(
+            f"snapshot config is not supported by this build ({error}); "
+            "re-create the snapshot with `octopus snapshot`"
+        ) from None
+
+
 def load_snapshot(path: str, *, config_overrides: Optional[Dict[str, object]] = None):
     """Reconstruct the :class:`~repro.core.Octopus` stored at *path*.
 
@@ -306,7 +345,9 @@ def load_snapshot(path: str, *, config_overrides: Optional[Dict[str, object]] = 
     built indexes — notably ``seed`` — should be left alone when
     byte-identity with the snapshotted system matters.
     """
-    from repro.core import Octopus, OctopusConfig
+    from dataclasses import replace
+
+    from repro.core import Octopus
     from repro.graph.digraph import SocialGraph
     from repro.topics.edges import TopicEdgeWeights
     from repro.topics.model import TopicModel
@@ -356,10 +397,9 @@ def load_snapshot(path: str, *, config_overrides: Optional[Dict[str, object]] = 
         int(user): list(words)
         for user, words in header["user_keywords"].items()
     }
-    config_payload = dict(header["config"])
+    config = _restore_config(header["config"])
     if config_overrides:
-        config_payload.update(config_overrides)
-    config = OctopusConfig(**config_payload)
+        config = replace(config, **config_overrides)
     return Octopus(
         graph,
         topic_model,

@@ -43,16 +43,18 @@ def no_leaked_shm_segments():
 
 
 def small_config(
-    execution_backend: str = "serial", rr_kernel: str = "vectorized"
+    execution_backend: str = "serial",
+    rr_kernel: str = "vectorized",
+    workers: int = 1,
 ) -> OctopusConfig:
-    """Tiny index budgets; chunked or serial sampling semantics."""
+    """Tiny index budgets on the given execution backend."""
     return OctopusConfig(
         num_sketches=30,
         num_topic_samples=3,
         topic_sample_rr_sets=150,
         oracle_samples=15,
         execution_backend=execution_backend,
-        workers=1 if execution_backend != "serial" else None,
+        workers=workers,
         rr_kernel=rr_kernel,
         seed=29,
     )
@@ -63,12 +65,14 @@ def make_service(citation_dataset):
     """Factory: a fresh small service over the shared dataset."""
 
     def build(
-        execution_backend: str = "serial", rr_kernel: str = "vectorized"
+        execution_backend: str = "serial",
+        rr_kernel: str = "vectorized",
+        workers: int = 1,
     ) -> OctopusService:
         return OctopusService(
             Octopus.from_dataset(
                 citation_dataset,
-                config=small_config(execution_backend, rr_kernel),
+                config=small_config(execution_backend, rr_kernel, workers),
             )
         )
 

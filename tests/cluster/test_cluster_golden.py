@@ -1,17 +1,12 @@
-"""The cluster determinism contract: shard count is a pure execution detail.
+"""The determinism contract: scheduling is a pure execution detail.
 
-The golden three-way test the tentpole promises: ``deterministic_form()``
-of every response is **byte-identical** across the single-process
-``OctopusService`` and a ``ClusterCoordinator`` with 1, 2 and 4 shards —
-for both sampling semantics:
-
-* chunked configs (``execution_backend != "serial"``) exercise the
-  **distributed max-cover** path — targeted queries fan out, shards sample
-  chunk ranges and the coordinator's greedy loop merges marginal-gain
-  reports;
-* serial configs exercise the **whole-query routing** path — the config
-  pins the historical single-stream draw order, which every forked replica
-  reproduces.
+``deterministic_form()`` of every response is **byte-identical** across the
+single-process ``OctopusService`` on any execution backend and a
+``ClusterCoordinator`` with 1, 2 and 4 shards.  There is one sampling
+semantics — chunked, chunk streams keyed by chunk index — so every config,
+``serial`` included, takes the **distributed max-cover** path for targeted
+queries: shards sample chunk ranges and the coordinator's greedy loop
+merges marginal-gain reports.
 """
 
 from __future__ import annotations
@@ -47,34 +42,54 @@ def golden_forms(responses):
     return [deterministic_form(response) for response in responses]
 
 
-class TestThreeWayShardDeterminism:
-    """1, 2 and 4 shards must serve the serial service's exact bytes."""
+#: Enough RR sets for five sampling chunks, so at four shards every shard
+#: owns a non-empty chunk range.
+FANOUT_REQUEST = TargetedInfluencersRequest("data mining", k=2, num_sets=1100)
 
-    @pytest.fixture(scope="class", params=["threads", "serial"])
-    def semantics(self, request):
-        """Both sampling semantics: chunked (distributed) and serial
-        (routed)."""
-        return request.param
+
+class TestOneAnswerUniverse:
+    """Same dataset + seed ⇒ the serial service's exact bytes, however the
+    work is scheduled: any execution backend, any shard count."""
+
+    WORKLOAD = GOLDEN_WORKLOAD + [FANOUT_REQUEST]
 
     @pytest.fixture(scope="class")
-    def reference_forms(self, make_service, semantics):
-        service = make_service(semantics)
-        return golden_forms([service.execute(r) for r in GOLDEN_WORKLOAD])
+    def reference_forms(self, make_service):
+        service = make_service("serial")
+        return golden_forms([service.execute(r) for r in self.WORKLOAD])
+
+    @pytest.mark.parametrize("execution_backend", ["threads", "processes"])
+    def test_execution_backend_is_pure_scheduling(
+        self, make_service, reference_forms, execution_backend
+    ):
+        service = make_service(execution_backend, workers=2)
+        try:
+            served = [service.execute(r) for r in self.WORKLOAD]
+        finally:
+            service.backend.close()
+        assert golden_forms(served) == reference_forms
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_cluster_matches_serial_service(
-        self, make_service, running_cluster, reference_forms, semantics, shards
+    def test_cluster_from_serial_config_matches_and_fans_out(
+        self, make_service, running_cluster, reference_forms, shards
     ):
-        with running_cluster(make_service(semantics), shards=shards) as cluster:
-            served = cluster.execute_batch(GOLDEN_WORKLOAD)
+        with running_cluster(make_service("serial"), shards=shards) as cluster:
+            assert cluster.execute(FANOUT_REQUEST).ok
+            stats = cluster.stats()
+            # Fanned out, not routed: every shard served sampling/cover
+            # commands for its chunk range and none ran the whole query.
+            for shard in range(shards):
+                assert stats[f"cluster.shard{shard}.requests"] == 0.0
+                assert stats[f"cluster.shard{shard}.commands"] > 0.0
+            served = cluster.execute_batch(self.WORKLOAD)
         assert golden_forms(served) == reference_forms
         assert all(response.ok for response in served)
 
     def test_single_executes_match_batch(
-        self, make_service, running_cluster, reference_forms, semantics
+        self, make_service, running_cluster, reference_forms
     ):
-        with running_cluster(make_service(semantics), shards=2) as cluster:
-            one_by_one = [cluster.execute(r) for r in GOLDEN_WORKLOAD]
+        with running_cluster(make_service("serial"), shards=2) as cluster:
+            one_by_one = [cluster.execute(r) for r in self.WORKLOAD]
         assert golden_forms(one_by_one) == reference_forms
 
 
@@ -102,8 +117,8 @@ class TestNativeKernelShardDeterminism:
 
 
 class TestDistributedPathIsReallyDistributed:
-    """With chunked semantics, targeted queries must use the fan-out
-    protocol — not fall back to whole-query routing on one shard."""
+    """Targeted queries must use the fan-out protocol — not fall back to
+    whole-query routing on one shard."""
 
     def test_targeted_query_routes_to_no_shard(
         self, make_service, running_cluster
@@ -119,19 +134,6 @@ class TestDistributedPathIsReallyDistributed:
             for shard in (0, 1):
                 assert stats[f"cluster.shard{shard}.requests"] == 0.0
                 assert stats[f"cluster.shard{shard}.commands"] > 0.0
-
-    def test_serial_semantics_route_instead(
-        self, make_service, running_cluster
-    ):
-        request = TargetedInfluencersRequest("data mining", k=2, num_sets=150)
-        with running_cluster(make_service("serial"), shards=2) as cluster:
-            response = cluster.execute(request)
-            assert response.ok
-            stats = cluster.stats()
-            routed = sum(
-                stats[f"cluster.shard{shard}.requests"] for shard in (0, 1)
-            )
-            assert routed == 1.0
 
 
 class TestCoordinatorServingSemantics:

@@ -109,55 +109,55 @@ class TestSampleRRSets:
         self, medium_graph, medium_probabilities
     ):
         """The tentpole acceptance property, at the backend level."""
-        reference = SerialBackend().sample_rr_sets(
+        reference = SerialBackend().sample_rr_sets_packed(
             medium_graph, medium_probabilities, 600, seed=11
-        )
+        ).to_sets()
         for make in (
             lambda: ThreadPoolBackend(2),
             lambda: ThreadPoolBackend(4),
             lambda: ProcessPoolBackend(2),
         ):
             with make() as backend:
-                sampled = backend.sample_rr_sets(
+                sampled = backend.sample_rr_sets_packed(
                     medium_graph, medium_probabilities, 600, seed=11
-                )
+                ).to_sets()
             assert sampled == reference
 
     def test_chunk_size_is_part_of_the_contract(
         self, medium_graph, medium_probabilities
     ):
         """Same (seed, chunk_size) ⇒ same draw, on any backend."""
-        serial = SerialBackend().sample_rr_sets(
+        serial = SerialBackend().sample_rr_sets_packed(
             medium_graph, medium_probabilities, 100, seed=2, chunk_size=16
-        )
+        ).to_sets()
         with ThreadPoolBackend(3) as backend:
-            threaded = backend.sample_rr_sets(
+            threaded = backend.sample_rr_sets_packed(
                 medium_graph, medium_probabilities, 100, seed=2, chunk_size=16
-            )
+            ).to_sets()
         assert serial == threaded
         assert all(rr for rr in serial)  # every RR set contains its root
 
-    def test_roots_cycle_like_the_serial_sampler(self, line_graph):
-        rr_sets = SerialBackend().sample_rr_sets(
+    def test_roots_cycle_across_chunk_bounds(self, line_graph):
+        rr_sets = SerialBackend().sample_rr_sets_packed(
             line_graph, np.zeros(3), 7, seed=0, roots=[3, 1], chunk_size=2
-        )
+        ).to_sets()
         assert [next(iter(rr)) for rr in rr_sets] == [3, 1, 3, 1, 3, 1, 3]
 
     def test_invalid_root_rejected(self, line_graph):
         with pytest.raises(ValidationError):
-            SerialBackend().sample_rr_sets(
+            SerialBackend().sample_rr_sets_packed(
                 line_graph, np.zeros(3), 4, seed=0, roots=[9]
             )
 
     def test_empty_roots_rejected(self, line_graph):
         with pytest.raises(ValidationError):
-            SerialBackend().sample_rr_sets(
+            SerialBackend().sample_rr_sets_packed(
                 line_graph, np.zeros(3), 4, seed=0, roots=[]
             )
 
     def test_num_sets_respected(self, medium_graph, medium_probabilities):
         with ThreadPoolBackend(2) as backend:
-            sampled = backend.sample_rr_sets(
+            sampled = backend.sample_rr_sets_packed(
                 medium_graph, medium_probabilities, 300, seed=1, chunk_size=77
-            )
+            ).to_sets()
         assert len(sampled) == 300

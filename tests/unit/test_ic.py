@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.propagation.ic import IC_KERNELS, IndependentCascade, simulate_cascade
+from repro.propagation.ic import IndependentCascade, simulate_cascade
 from repro.utils.validation import ValidationError
 
 
@@ -54,85 +54,8 @@ class TestSimulateCascade:
         assert a.activated == b.activated
 
 
-class TestLegacyKernelPinned:
-    """Golden pins of the historical node-at-a-time loop.
-
-    The ``"legacy"`` kernel must keep reproducing the exact seeded
-    cascades of the pre-vectorization implementation — same draws, same
-    activation order, same trace edges.  These values were captured from
-    that implementation; a changed integer here means the reference path
-    was touched.
-    """
-
-    @pytest.fixture(scope="class")
-    def pa_graph(self):
-        from repro.graph.generators import preferential_attachment_digraph
-
-        return preferential_attachment_digraph(200, 3, seed=42)
-
-    SEEDS = [199, 198, 150, 100]
-    GOLDEN_ACTIVATED = {
-        3: [0, 1, 2, 3, 4, 7, 8, 11, 15, 31, 41, 100, 118, 136, 142, 150,
-            187, 198, 199],
-        7: [0, 1, 2, 3, 4, 7, 8, 31, 100, 142, 150, 187, 198, 199],
-        11: [0, 1, 2, 3, 4, 7, 8, 100, 136, 142, 150, 187, 198, 199],
-    }
-
-    @pytest.mark.parametrize("rng_seed", [3, 7, 11])
-    def test_activated_sets_pinned(self, pa_graph, rng_seed):
-        probabilities = np.full(pa_graph.num_edges, 0.6)
-        trace = simulate_cascade(
-            pa_graph, probabilities, self.SEEDS, seed=rng_seed, kernel="legacy"
-        )
-        assert sorted(trace.activated) == self.GOLDEN_ACTIVATED[rng_seed]
-
-    def test_trace_pinned(self, pa_graph):
-        probabilities = np.full(pa_graph.num_edges, 0.6)
-        trace = simulate_cascade(
-            pa_graph,
-            probabilities,
-            self.SEEDS,
-            seed=3,
-            kernel="legacy",
-            record_trace=True,
-        )
-        assert len(trace.activation_edges) == 15
-        assert trace.activation_edges[:8] == [
-            (591, 199, 136),
-            (592, 199, 3),
-            (588, 198, 187),
-            (589, 198, 4),
-            (590, 198, 118),
-            (444, 150, 8),
-            (445, 150, 0),
-            (295, 100, 2),
-        ]
-
-
 class TestVectorizedKernel:
     """The frontier-batched kernel: same model, batched coins."""
-
-    def test_unknown_kernel_rejected(self, line_graph):
-        with pytest.raises(ValidationError, match="kernel"):
-            simulate_cascade(line_graph, np.ones(3), [0], seed=0, kernel="turbo")
-        with pytest.raises(ValidationError, match="kernel"):
-            IndependentCascade(line_graph, np.ones(3), kernel="turbo")
-
-    def test_kernels_listed(self):
-        assert set(IC_KERNELS) == {"vectorized", "legacy"}
-
-    def test_matches_legacy_on_single_node_frontiers(self, line_graph):
-        """On a path with one seed every frontier has one node, so both
-        kernels consume the stream identically: seeded cascades match."""
-        probabilities = np.array([0.7, 0.4, 0.9])
-        for rng_seed in range(20):
-            legacy = simulate_cascade(
-                line_graph, probabilities, [0], seed=rng_seed, kernel="legacy"
-            )
-            fast = simulate_cascade(
-                line_graph, probabilities, [0], seed=rng_seed, kernel="vectorized"
-            )
-            assert fast.activated == legacy.activated
 
     def test_trace_edges_are_consistent(self, medium_graph, medium_probabilities):
         trace = simulate_cascade(
@@ -149,25 +72,6 @@ class TestVectorizedKernel:
             assert target not in trace.seeds
             seen.add(target)
         assert seen == trace.activated
-
-    def test_spread_estimates_agree_across_kernels(self, line_graph):
-        p = 0.5
-        exact = 1 + p + p**2 + p**3
-        for kernel in IC_KERNELS:
-            cascade = IndependentCascade(line_graph, np.full(3, p), kernel)
-            estimate = cascade.estimate_spread([0], num_samples=4000, seed=0)
-            assert estimate == pytest.approx(exact, rel=0.05)
-
-    def test_statistical_agreement_on_medium_graph(
-        self, medium_graph, medium_probabilities
-    ):
-        fast = IndependentCascade(
-            medium_graph, medium_probabilities, "vectorized"
-        ).estimate_spread([0, 1], num_samples=1500, seed=0)
-        legacy = IndependentCascade(
-            medium_graph, medium_probabilities, "legacy"
-        ).estimate_spread([0, 1], num_samples=1500, seed=0)
-        assert fast == pytest.approx(legacy, rel=0.1)
 
 
 class TestIndependentCascade:

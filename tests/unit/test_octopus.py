@@ -215,10 +215,10 @@ class TestExecutionBackends:
             OctopusConfig(workers=0)
 
     def test_config_validates_rr_kernel(self):
-        with pytest.raises(ValidationError):
-            OctopusConfig(rr_kernel="cuda")
+        for retired_or_unknown in ("cuda", "legacy"):
+            with pytest.raises(ValidationError):
+                OctopusConfig(rr_kernel=retired_or_unknown)
         assert OctopusConfig().rr_kernel == "vectorized"
-        assert OctopusConfig(rr_kernel="legacy").rr_kernel == "legacy"
         assert OctopusConfig(rr_kernel="native").rr_kernel == "native"
 
     def test_statistics_report_kernel_provenance(self, system):
@@ -233,17 +233,21 @@ class TestExecutionBackends:
             "native-fallback",
         )
 
-    def test_pooled_builds_agree_with_each_other(self, citation_dataset_module):
-        """threads and processes builds answer queries identically."""
+    def test_builds_agree_on_every_backend(self, citation_dataset_module):
+        """serial, threads and processes builds answer queries identically."""
         answers = []
-        for backend_name in ("threads", "processes"):
+        for backend_name, workers in (
+            ("serial", None),
+            ("threads", 2),
+            ("processes", 2),
+        ):
             config = OctopusConfig(
                 num_sketches=20,
                 num_topic_samples=3,
                 topic_sample_rr_sets=120,
                 oracle_samples=10,
                 execution_backend=backend_name,
-                workers=2,
+                workers=workers,
                 seed=91,
             )
             with Octopus.from_dataset(
@@ -251,9 +255,8 @@ class TestExecutionBackends:
             ) as system:
                 result = system.find_influencers("data mining", 3)
                 answers.append((result.seeds, result.spread))
-                assert system.statistics()["execution.workers"] == 2.0
-        assert answers[0] == answers[1]
-
-    def test_serial_config_has_no_backend_object(self, system):
-        assert system.execution is None
-        assert system.statistics()["execution.workers"] == 1.0
+                assert system.execution.name == backend_name
+                assert system.statistics()["execution.workers"] == float(
+                    workers or 1
+                )
+        assert answers[0] == answers[1] == answers[2]

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.propagation.packed import PackedRRSets, PackedSetSequence
+from repro.propagation.packed import PackedRRSets
 from repro.utils.validation import ValidationError
 
 
@@ -81,52 +81,6 @@ class TestChunks:
         nodes, offsets = pickle.loads(pickle.dumps(packed.chunk_payload()))
         rebuilt = PackedRRSets(1000, nodes, offsets)
         assert rebuilt.to_sets() == packed.to_sets()
-
-
-class TestPackedSetSequence:
-    """The lazy Sequence[Set[int]] facade ``sample_rr_sets`` now returns —
-    no up-front materialization of every set."""
-
-    def test_lazy_indexing_and_len(self):
-        sequence = _example().as_set_sequence()
-        assert isinstance(sequence, PackedSetSequence)
-        assert len(sequence) == 3
-        assert sequence[1] == {1, 2, 3}
-        assert sequence[-1] == {3}
-        assert list(sequence) == [{0, 1}, {1, 2, 3}, {3}]
-
-    def test_slicing(self):
-        sequence = _example().as_set_sequence()
-        assert sequence[1:] == [{1, 2, 3}, {3}]
-
-    def test_bounds_checked(self):
-        sequence = _example().as_set_sequence()
-        with pytest.raises(IndexError):
-            sequence[3]
-        with pytest.raises(IndexError):
-            sequence[-4]
-
-    def test_equality_is_element_wise(self):
-        packed = _example()
-        sequence = packed.as_set_sequence()
-        assert sequence == [{0, 1}, {1, 2, 3}, {3}]
-        assert sequence == packed.as_set_sequence()
-        assert sequence == tuple(packed.to_sets())
-        assert sequence != [{0, 1}, {1, 2, 3}]
-        assert sequence != [{0, 1}, {1, 2, 3}, {4}]
-        assert sequence != "not a sequence"
-
-    def test_materializes_each_set_once(self):
-        sequence = _example().as_set_sequence()
-        first = sequence[0]
-        assert sequence[0] is first  # cached, not rebuilt
-
-    def test_no_upfront_materialization(self):
-        rng = np.random.default_rng(2)
-        sets = [set(rng.integers(0, 100, size=5).tolist()) for _ in range(500)]
-        sequence = PackedRRSets.from_sets(100, sets).as_set_sequence()
-        _ = sequence[7]
-        assert sum(entry is not None for entry in sequence._cache) == 1
 
 
 class TestMembership:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
+from repro.backend import ProcessPoolBackend, ThreadPoolBackend
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.rrsets import RRSetCollection, generate_rr_set
 from repro.utils.validation import ValidationError
@@ -90,9 +90,10 @@ class TestRRSetCollection:
         )
         assert all(rr == {3} for rr in collection.rr_sets)
 
-    def test_invalid_fixed_root(self, line_graph):
+    @pytest.mark.parametrize("roots", [[9], []])
+    def test_invalid_fixed_root(self, line_graph, roots):
         with pytest.raises(ValidationError):
-            RRSetCollection.sample(line_graph, np.zeros(3), 4, seed=0, roots=[9])
+            RRSetCollection.sample(line_graph, np.zeros(3), 4, seed=0, roots=roots)
 
     def test_shared_generator_advances_stream(
         self, medium_graph, medium_probabilities
@@ -181,12 +182,9 @@ class TestParallelSampling:
     """Acceptance bar: same seed ⇒ identical collection on every backend."""
 
     def test_backends_agree_exactly(self, medium_graph, medium_probabilities):
+        # No backend argument means the a SerialBackend: same universe.
         serial = RRSetCollection.sample(
-            medium_graph,
-            medium_probabilities,
-            700,
-            seed=31,
-            backend=SerialBackend(),
+            medium_graph, medium_probabilities, 700, seed=31
         )
         with ThreadPoolBackend(4) as threads:
             threaded = RRSetCollection.sample(

@@ -1,32 +1,22 @@
-"""Seed-stability of the influencer-index sketch expansion kernels.
+"""Seed-stability of the influencer-index sketch expansion core.
 
-The index has two expansion disciplines (mirroring the RR sampling
-kernels): ``node`` — the historical node-at-a-time loop — and
-``frontier`` — the batched kernel that draws one threshold array per
-frontier batch.  The contracts proven here:
-
-* ``node`` mode is **bit-identical to the current implementation** as it
-  shipped before this refactor (an inline reference copy pins it);
-* ``frontier`` mode is self-deterministic: the same seed produces the same
-  sketches regardless of budget boundaries (eager vs. chunked delayed
-  materialization), build backend, or worker count;
-* the two modes sample the same distribution (their estimates agree
-  statistically), but are *not* draw-compatible — exactly the RR-kernel
-  contract.
+Expansion is frontier-batched: one threshold array per frontier batch.  It
+is self-deterministic — the same seed produces the same sketches
+regardless of budget boundaries (eager vs. chunked delayed
+materialization), build backend, or worker count — and every sketch it
+builds is a valid reverse potential-world sample.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 import numpy as np
 import pytest
 
-from repro.core.influencer_index import InfluencerIndex, Sketch, check_expansion
-from repro.graph.digraph import SocialGraph
+from repro.core.influencer_index import InfluencerIndex
 from repro.graph.generators import preferential_attachment_digraph
 from repro.topics.edges import TopicEdgeWeights
-from repro.utils.validation import ValidationError
 
 GAMMA = np.array([0.6, 0.25, 0.1, 0.05])
 
@@ -59,99 +49,14 @@ def materialize_all(index: InfluencerIndex) -> InfluencerIndex:
     return index
 
 
-# ----------------------------------------------------------------------
-# The reference: the expansion loop exactly as it shipped pre-refactor.
-# ----------------------------------------------------------------------
-
-
-def _reference_expand(
-    graph: SocialGraph,
-    envelope: np.ndarray,
-    sketch: Sketch,
-    rng: np.random.Generator,
-    budget: int,
-) -> None:
-    """Verbatim copy of the historical node-at-a-time ``_expand_sketch``."""
-    processed = 0
-    while sketch.frontier and processed < budget:
-        node = sketch.frontier.pop()
-        processed += 1
-        start, stop = graph.in_offsets[node], graph.in_offsets[node + 1]
-        degree = int(stop - start)
-        if degree == 0:
-            continue
-        thresholds = rng.random(degree)
-        edge_ids = graph.in_edge_ids[start:stop]
-        live = thresholds <= envelope[edge_ids]
-        live_count = int(np.count_nonzero(live))
-        sketch.edges_pruned += degree - live_count
-        if live_count == 0:
-            continue
-        live_sources = graph.in_sources[start:stop][live].tolist()
-        sketch.edge_sources.extend(live_sources)
-        sketch.edge_targets.extend([node] * live_count)
-        sketch.edge_ids.extend(edge_ids[live].tolist())
-        sketch.edge_thresholds.extend(thresholds[live].tolist())
-        for source in live_sources:
-            if source not in sketch.nodes:
-                sketch.nodes.add(source)
-                sketch.frontier.append(source)
-
-
-def _reference_index_sketches(weights: TopicEdgeWeights, num: int, seed: int):
-    """Sketches the pre-refactor implementation builds for this seed."""
-    from repro.utils.rng import spawn_generators
-
-    graph = weights.graph
-    envelope = weights.max_over_topics()
-    generators = spawn_generators(seed, num + 1)
-    roots = generators[0].integers(0, graph.num_nodes, size=num)
-    sketches: List[Sketch] = []
-    for index, root in enumerate(roots):
-        sketch = Sketch(root=int(root), nodes={int(root)}, frontier=[int(root)])
-        _reference_expand(
-            graph, envelope, sketch, generators[1 + index], budget=1_000_000
-        )
-        sketches.append(sketch)
-    return sketches
-
-
-class TestNodeModeSeedStability:
-    """``node`` mode stays the bit-compatible pre-refactor reference.
-
-    The default flipped to ``frontier`` once the batched kernel proved
-    itself; ``node`` remains selectable so earlier releases' seeds keep
-    their exact bytes — this suite is the proof it still has them.
-    """
-
-    def test_node_mode_matches_the_pre_refactor_implementation(self, weights):
-        index = InfluencerIndex(weights, num_sketches=50, seed=17, expansion="node")
-        assert index.expansion == "node"  # the bit-compatible reference
-        reference = _reference_index_sketches(weights, 50, seed=17)
-        for built, expected in zip(index.sketches, reference):
-            assert built.root == expected.root
-            assert built.nodes == expected.nodes
-            assert built.edge_sources == expected.edge_sources
-            assert built.edge_targets == expected.edge_targets
-            assert built.edge_ids == expected.edge_ids
-            assert built.edge_thresholds == expected.edge_thresholds
-            assert built.edges_pruned == expected.edges_pruned
-
-
 class TestFrontierModeDeterminism:
     """Same seed ⇒ same sketches, however the work is scheduled."""
 
     def test_budget_boundaries_are_invisible(self, weights):
-        eager = materialize_all(
-            InfluencerIndex(weights, num_sketches=40, seed=18, expansion="frontier")
-        )
+        eager = materialize_all(InfluencerIndex(weights, num_sketches=40, seed=18))
         for chunk_size in (1, 3, 17):
             lazy = InfluencerIndex(
-                weights,
-                num_sketches=40,
-                chunk_size=chunk_size,
-                seed=18,
-                expansion="frontier",
+                weights, num_sketches=40, chunk_size=chunk_size, seed=18
             )
             materialize_all(lazy)
             assert fingerprint(lazy) == fingerprint(eager)
@@ -163,9 +68,7 @@ class TestFrontierModeDeterminism:
             ThreadPoolBackend,
         )
 
-        reference = InfluencerIndex(
-            weights, num_sketches=40, seed=19, expansion="frontier"
-        )
+        reference = InfluencerIndex(weights, num_sketches=40, seed=19)
         for make in (
             SerialBackend,
             lambda: ThreadPoolBackend(4),
@@ -173,21 +76,13 @@ class TestFrontierModeDeterminism:
         ):
             with make() as backend:
                 built = InfluencerIndex(
-                    weights,
-                    num_sketches=40,
-                    seed=19,
-                    backend=backend,
-                    expansion="frontier",
+                    weights, num_sketches=40, seed=19, backend=backend
                 )
             assert fingerprint(built) == fingerprint(reference)
 
     def test_delayed_materialization_continues_the_stream(self, weights):
-        eager = InfluencerIndex(
-            weights, num_sketches=30, seed=20, expansion="frontier"
-        )
-        lazy = InfluencerIndex(
-            weights, num_sketches=30, chunk_size=2, seed=20, expansion="frontier"
-        )
+        eager = InfluencerIndex(weights, num_sketches=30, seed=20)
+        lazy = InfluencerIndex(weights, num_sketches=30, chunk_size=2, seed=20)
         assert any(not sketch.complete for sketch in lazy.sketches)
         for user in (0, 5, 40):
             assert lazy.estimate_user_spread(user, GAMMA) == pytest.approx(
@@ -196,12 +91,10 @@ class TestFrontierModeDeterminism:
 
 
 class TestFrontierModeDistribution:
-    """Different draw order, same sampling distribution."""
+    """Every sketch is a valid reverse potential-world sample."""
 
     def test_edge_thresholds_respect_the_envelope(self, weights):
-        index = InfluencerIndex(
-            weights, num_sketches=30, seed=21, expansion="frontier"
-        )
+        index = InfluencerIndex(weights, num_sketches=30, seed=21)
         envelope = weights.max_over_topics()
         for sketch in index.sketches:
             for edge_id, theta in zip(sketch.edge_ids, sketch.edge_thresholds):
@@ -209,9 +102,7 @@ class TestFrontierModeDistribution:
 
     def test_sketch_membership_is_reverse_reachable(self, weights):
         """Every sketch node must reach the root through recorded edges."""
-        index = InfluencerIndex(
-            weights, num_sketches=20, seed=22, expansion="frontier"
-        )
+        index = InfluencerIndex(weights, num_sketches=20, seed=22)
         for sketch in index.sketches:
             reached: Set[int] = {sketch.root}
             # Edges are appended in discovery order: walking them forward
@@ -220,47 +111,3 @@ class TestFrontierModeDistribution:
                 assert target in reached
                 reached.add(source)
             assert reached == sketch.nodes
-
-    def test_estimates_agree_across_modes(self, weights):
-        node_mode = InfluencerIndex(weights, num_sketches=300, seed=23)
-        frontier_mode = InfluencerIndex(
-            weights, num_sketches=300, seed=23, expansion="frontier"
-        )
-        users = [0, 3, 10, 25]
-        node_total = sum(node_mode.estimate_user_spread(u, GAMMA) for u in users)
-        frontier_total = sum(
-            frontier_mode.estimate_user_spread(u, GAMMA) for u in users
-        )
-        assert frontier_total == pytest.approx(node_total, rel=0.35, abs=6.0)
-
-
-class TestConfigPlumbing:
-    def test_invalid_expansion_rejected(self, weights):
-        with pytest.raises(ValidationError):
-            InfluencerIndex(weights, num_sketches=5, expansion="bogus")
-        with pytest.raises(ValidationError):
-            check_expansion("batched")
-
-    def test_octopus_config_threads_the_mode_through(self):
-        from repro.core.octopus import Octopus, OctopusConfig
-        from repro.datasets.citation import CitationNetworkGenerator
-
-        dataset = CitationNetworkGenerator(num_researchers=60, seed=5).generate()
-        config = OctopusConfig(
-            num_sketches=20,
-            num_topic_samples=2,
-            topic_sample_rr_sets=100,
-            oracle_samples=10,
-            sketch_expansion="frontier",
-            seed=6,
-        )
-        system = Octopus.from_dataset(dataset, config=config)
-        assert system.influencer_index.expansion == "frontier"
-        result = system.suggest_keywords(0, k=2)
-        assert len(result.keywords) <= 2
-
-    def test_octopus_config_rejects_bad_mode(self):
-        from repro.core.octopus import OctopusConfig
-
-        with pytest.raises(ValidationError):
-            OctopusConfig(sketch_expansion="bogus")

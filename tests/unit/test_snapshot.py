@@ -81,9 +81,55 @@ def _corrupt(path, tmp_path, mutate):
     return str(target)
 
 
+def _rewrite_header(path, tmp_path, mutate):
+    """Copy *path* with *mutate* applied to its header dict.
+
+    The header checksum is recomputed and the payload base re-aligned for
+    the new header length, so the file is structurally sound and only the
+    header's meaning changed.
+    """
+    import hashlib
+
+    from repro.snapshot.format import _align, _canonical_json
+
+    raw = open(path, "rb").read()
+    preamble = len(MAGIC) + 4 + 4 + 32
+    header_length = int.from_bytes(raw[len(MAGIC) + 4: len(MAGIC) + 8], "little")
+    header = json.loads(raw[preamble: preamble + header_length])
+    mutate(header)
+    new_header = _canonical_json(header)
+    old_base = _align(preamble + header_length)
+    new_base = _align(preamble + len(new_header))
+    target = tmp_path / "rewritten.octosnap"
+    target.write_bytes(
+        MAGIC
+        + FORMAT_VERSION.to_bytes(4, "little")
+        + len(new_header).to_bytes(4, "little")
+        + hashlib.sha256(new_header).digest()
+        + new_header
+        + b"\0" * (new_base - preamble - len(new_header))
+        + raw[old_base:]
+    )
+    return str(target)
+
+
 class TestRoundtrip:
     def test_loaded_system_is_byte_identical(self, system, snapshot_path):
         loaded = load_snapshot(snapshot_path)
+        assert _golden_bytes(loaded) == _golden_bytes(system)
+
+    def test_retired_config_key_with_its_default_still_loads(
+        self, system, snapshot_path, tmp_path
+    ):
+        """Snapshots written before ``sketch_expansion`` was retired embed
+        its default; they describe exactly the system this build builds."""
+        older = _rewrite_header(
+            snapshot_path,
+            tmp_path,
+            lambda header: header["config"].update(sketch_expansion="frontier"),
+        )
+        loaded = load_snapshot(older)
+        assert loaded.config == system.config
         assert _golden_bytes(loaded) == _golden_bytes(system)
 
     def test_structure_survives(self, system, snapshot_path):
@@ -169,38 +215,41 @@ class TestRejection:
         with pytest.raises(SnapshotFormatError, match="bad magic"):
             load_snapshot(target.as_posix())
 
-    def test_missing_array_is_format_error(self, snapshot_path, tmp_path, system):
-        # Rewrite the file with one array descriptor dropped but a valid
-        # header checksum: structurally sound, semantically incomplete.
-        import hashlib
+    def test_missing_array_is_format_error(self, snapshot_path, tmp_path):
+        # One array descriptor dropped but a valid header checksum:
+        # structurally sound, semantically incomplete.
+        def drop_edge_weights(header):
+            header["arrays"] = [
+                info for info in header["arrays"] if info["name"] != "edge_weights"
+            ]
 
-        from repro.snapshot.format import _align, _canonical_json
-
-        raw = open(snapshot_path, "rb").read()
-        preamble = len(MAGIC) + 4 + 4 + 32
-        header_length = int.from_bytes(raw[len(MAGIC) + 4: len(MAGIC) + 8], "little")
-        header = json.loads(raw[preamble: preamble + header_length])
-        header["arrays"] = [
-            info for info in header["arrays"] if info["name"] != "edge_weights"
-        ]
-        new_header = _canonical_json(header)
-        # Keep the payload base aligned for the *new* header length so the
-        # remaining descriptors still point at their bytes.
-        old_base = _align(preamble + header_length)
-        new_base = _align(preamble + len(new_header))
-        rebuilt = (
-            MAGIC
-            + FORMAT_VERSION.to_bytes(4, "little")
-            + len(new_header).to_bytes(4, "little")
-            + hashlib.sha256(new_header).digest()
-            + new_header
-            + b"\0" * (new_base - preamble - len(new_header))
-            + raw[old_base:]
-        )
-        target = tmp_path / "missing.octosnap"
-        target.write_bytes(rebuilt)
+        target = _rewrite_header(snapshot_path, tmp_path, drop_edge_weights)
         with pytest.raises(SnapshotFormatError, match="missing arrays"):
-            load_snapshot(str(target))
+            load_snapshot(target)
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            # retired field, answer-changing value
+            ("sketch_expansion", "node", "sketch_expansion"),
+            # retired value of a live field
+            ("rr_kernel", "legacy", "legacy"),
+            # a field this build has never heard of
+            ("warp_drive", True, "warp_drive"),
+        ],
+    )
+    def test_unsupported_config_is_version_error(
+        self, snapshot_path, tmp_path, key, value, named
+    ):
+        target = _rewrite_header(
+            snapshot_path,
+            tmp_path,
+            lambda header: header["config"].update({key: value}),
+        )
+        with pytest.raises(
+            SnapshotVersionError, match=f"{named}.*re-create the snapshot"
+        ):
+            load_snapshot(target)
 
 
 class TestSaveGuards:
