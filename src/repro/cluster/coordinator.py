@@ -3,8 +3,11 @@
 :class:`ClusterCoordinator` implements the executor contract the rest of
 the system already speaks — ``execute`` / ``execute_batch`` / ``stats`` /
 ``close`` — on top of long-lived :mod:`~repro.cluster.worker` shard
-processes, so it drops into :class:`~repro.server.OctopusHTTPServer` and
-the CLI exactly where :class:`~repro.service.OctopusService` or
+processes.  It *is* the wrapped :class:`~repro.service.OctopusService`'s
+middleware stack (:meth:`~repro.service.OctopusService.over`) ending in a
+routing handler instead of the local backend, so it drops into
+:class:`~repro.server.OctopusHTTPServer` and the CLI exactly where
+:class:`~repro.service.OctopusService` or
 :class:`~repro.service.ConcurrentOctopusService` would.
 
 Execution model
@@ -22,11 +25,15 @@ of two paths:
   Every shard replica is seed-identical to the single-process service, so
   the response bytes do not depend on the chosen shard.
 * **Distributed max-cover** — targeted-IM queries fan out: the
-  coordinator draws the query's audience-weighted roots and builds the
-  exact chunk plan (:func:`repro.backend.base.rr_chunk_plan`) the
-  single-process backend would build, hands each shard a contiguous chunk
-  range to sample and hold resident, then runs the greedy seed-selection
-  loop over the wire — each round every shard reports its marginal-gain
+  coordinator runs the ordinary targeted handler on its own replica with
+  the engine's one replaceable step — sample + greedy cover
+  (:data:`repro.core.targeted.CoverStep`) — swapped for the shard
+  exchange.  That step builds the exact chunk plan
+  (:func:`repro.backend.base.rr_chunk_plan`) the single-process backend
+  would build over the roots the engine drew, hands each shard a
+  contiguous chunk range to sample and hold resident, then runs the greedy
+  seed-selection loop over the wire — each round every shard reports its
+  marginal-gain
   (coverage) vector, the coordinator picks the argmax with the serial tie-break rule
   (:func:`repro.cluster.merge.pick_cover_seed`) and broadcasts the chosen
   seed.  Because chunk streams are keyed by chunk index — never by shard
@@ -47,8 +54,6 @@ replica — which computes the same bytes — before giving up.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import glob
 import itertools
 import multiprocessing
@@ -87,16 +92,9 @@ from repro.cluster.protocol import (
 from repro.cluster.worker import shard_main, shard_respawn_main
 from repro.core.octopus import Octopus
 from repro.obs.histogram import aggregate_latency_keys
-from repro.obs.trace import (
-    current_trace,
-    record_stage,
-    stage as trace_stage,
-    stamp_response,
-)
-from repro.core.query import KeywordQuery
+from repro.obs.trace import current_trace, record_stage, stage as trace_stage
 from repro.core.targeted import TargetedKeywordIM
 from repro.service.dispatcher import OctopusService, RequestLike
-from repro.service.middleware import RateLimitMiddleware
 from repro.service.requests import (
     ExplorePathsRequest,
     ServiceRequest,
@@ -104,8 +102,8 @@ from repro.service.requests import (
     SuggestKeywordsRequest,
     TargetedInfluencersRequest,
 )
-from repro.service.responses import ServiceResponse, jsonify
-from repro.utils.validation import ValidationError, check_positive, check_simplex
+from repro.service.responses import ServiceResponse
+from repro.utils.validation import ValidationError, check_positive
 
 __all__ = [
     "ClusterCoordinator",
@@ -294,9 +292,10 @@ class ClusterCoordinator:
     """Sharded multi-process service executor (see module docstring).
 
     Accepts an :class:`OctopusService` or a bare :class:`Octopus` backend
-    (wrapped with *service_kwargs*), mirroring the concurrent executor's
-    construction surface.  The coordinator keeps the authoritative result
-    cache and metrics; shard replicas run with their caches disabled.
+    (wrapped with *service_kwargs*), like the concurrent executor.  Every
+    request runs that service's one middleware stack here, in the
+    coordinator process; shard replicas execute only what the stack's
+    innermost handler (:meth:`_compute`) sends them.
     """
 
     def __init__(
@@ -386,19 +385,7 @@ class ClusterCoordinator:
             )
         self._round_robin = itertools.count()
         self._session_ids = itertools.count()
-        # The coordinator is the authoritative serving layer (like its
-        # cache and metrics): a configured rate limit is enforced here,
-        # once, for every path — distributed, routed, or cache hit.  The
-        # shard replicas' forked limiter copies are neutralised at fork
-        # (see worker.shard_main), exactly like their result caches.
-        self._rate_limiter: Optional[RateLimitMiddleware] = next(
-            (
-                layer
-                for layer in self.service.middleware
-                if isinstance(layer, RateLimitMiddleware)
-            ),
-            None,
-        )
+        self._front = self.service.over(self._compute)
 
     # ------------------------------------------------------------------
     # The executor surface
@@ -406,101 +393,18 @@ class ClusterCoordinator:
 
     def execute(self, request: RequestLike) -> ServiceResponse:
         """Serve one request across the cluster; never raises."""
-        try:
-            typed = OctopusService._coerce(request)
-        except ValidationError as error:
-            return stamp_response(
-                ServiceResponse.failure(
-                    OctopusService._service_name_of(request),
-                    "malformed_request",
-                    str(error),
-                )
-            )
-        started = time.perf_counter()
         if self.closed:
-            return self._finish(
-                ServiceResponse.failure(
-                    typed.service, "internal_error", "cluster coordinator is closed"
-                ),
-                started,
-                None,
-            )
-        if self._rate_limiter is not None:
-            # Mirror the dispatcher's stack order: the limiter sits above
-            # the cache, so over-limit requests never consult it.  With a
-            # token available the middleware returns call_next's value.
-            verdict = self._rate_limiter(typed, lambda _request: None)
-            if verdict is not None:
-                return self._finish(verdict, started, None)
-        if isinstance(typed, StatsRequest):
-            # Live cluster-wide counters: always computed here, never cached.
-            return self._finish(
-                ServiceResponse.success(typed.service, self.stats()),
-                started,
-                None,
-            )
-        key = self._safe_cache_key(typed)
-        if key is not None:
-            with trace_stage("cache_lookup"):
-                cached = self.service.cache.get(key)
-            if cached is not None:
-                response = dataclasses.replace(
-                    cached,
-                    cache_hit=True,
-                    payload=copy.deepcopy(cached.payload),
-                    latency_ms=(time.perf_counter() - started) * 1e3,
-                )
-                self.service.metrics.record(response)
-                return stamp_response(response)
-        return self._finish(self._compute(typed), started, key)
+            return self.service.refuse(request)
+        return self._front.execute(request)
 
     def execute_batch(
         self, requests: Sequence[RequestLike]
     ) -> List[ServiceResponse]:
-        """Serve many requests, sharing duplicates like the dispatcher.
-
-        Same grouping/de-duplication semantics as
-        :meth:`OctopusService.execute_batch`: each distinct cacheable query
-        computes once and duplicates receive its payload with
-        ``cache_hit=True``; a bad request fails only its own slot.
-        """
-        responses: List[Optional[ServiceResponse]] = [None] * len(requests)
-        groups: Dict[str, List[Tuple[int, ServiceRequest]]] = {}
-        for position, raw in enumerate(requests):
-            try:
-                typed = OctopusService._coerce(raw)
-            except ValidationError as error:
-                responses[position] = stamp_response(
-                    ServiceResponse.failure(
-                        OctopusService._service_name_of(raw),
-                        "malformed_request",
-                        str(error),
-                    )
-                )
-                continue
-            groups.setdefault(typed.service, []).append((position, typed))
-        for _service, members in groups.items():
-            shared: Dict[Any, ServiceResponse] = {}
-            for position, typed in members:
-                key = self._safe_cache_key(typed)
-                original = shared.get(key) if key is not None else None
-                if original is not None:
-                    started = time.perf_counter()
-                    duplicate = dataclasses.replace(
-                        original,
-                        cache_hit=True,
-                        payload=copy.deepcopy(original.payload),
-                        latency_ms=(time.perf_counter() - started) * 1e3,
-                    )
-                    responses[position] = stamp_response(duplicate)
-                    self.service.metrics.record(duplicate)
-                    continue
-                response = self.execute(typed)
-                responses[position] = response
-                if key is not None and response.ok:
-                    shared[key] = response
-        assert all(response is not None for response in responses)
-        return list(responses)  # type: ignore[arg-type]
+        """Serve many requests, sharing duplicates
+        (:meth:`OctopusService.execute_batch`)."""
+        if self.closed:
+            return [self.service.refuse(request) for request in requests]
+        return self._front.execute_batch(requests)
 
     def stats(self) -> Dict[str, Any]:
         """Coordinator + per-shard statistics, self-describing.
@@ -508,10 +412,10 @@ class ClusterCoordinator:
         ``executor.*`` identifies the executor (kind, shard count,
         liveness); ``cluster.shard<i>.*`` carries per-shard counters
         (skipped, not blocked on, when a shard is busy with a long
-        exchange).  ``service.*`` / ``cache.*`` are the coordinator's
-        authoritative serving metrics.  When shard replicas have served
-        routed traffic, their per-service latency histograms are merged
-        key-wise (bucket counts sum exactly; percentiles recompute over
+        exchange).  ``service.*`` / ``cache.*`` are the serving stack's
+        own counters (every request is served here).  When shard replicas
+        have served routed traffic, their per-service latency histograms are
+        merged key-wise (bucket counts sum exactly; percentiles recompute over
         the merged distribution) and re-emitted under
         ``cluster.shards.service.*`` so ``/stats`` shows fleet-wide
         latency, not just the coordinator's own.
@@ -696,12 +600,12 @@ class ClusterCoordinator:
 
     @property
     def cache(self):
-        """The authoritative result cache (shard replicas run uncached)."""
+        """The wrapped service's result cache (the only one consulted)."""
         return self.service.cache
 
     @property
     def metrics(self):
-        """The authoritative metrics collector."""
+        """The wrapped service's metrics collector."""
         return self.service.metrics
 
     # ------------------------------------------------------------------
@@ -740,46 +644,6 @@ class ClusterCoordinator:
     # Execution paths
     # ------------------------------------------------------------------
 
-    def _finish(
-        self,
-        response: ServiceResponse,
-        started: float,
-        key: Optional[Tuple],
-    ) -> ServiceResponse:
-        """Stamp latency, record metrics, populate the parent cache.
-
-        The cached copy is stored with its tracing fields stripped — a
-        later hit belongs to a different request, so the id of the
-        request that happened to compute the entry must never leak into
-        it — and the returned response is stamped with the active trace
-        (overriding any shard-side stamp with the same id).
-        """
-        response = dataclasses.replace(
-            response, latency_ms=(time.perf_counter() - started) * 1e3
-        )
-        self.service.metrics.record(response)
-        if key is not None and response.ok and not response.cache_hit:
-            self.service.cache.put(
-                key,
-                dataclasses.replace(
-                    response,
-                    payload=copy.deepcopy(response.payload),
-                    request_id=None,
-                    timings=None,
-                ),
-            )
-        return stamp_response(response)
-
-    @staticmethod
-    def _safe_cache_key(typed: ServiceRequest) -> Optional[Tuple]:
-        try:
-            key = typed.cache_key()
-            if key is not None:
-                hash(key)
-            return key
-        except TypeError:
-            return None  # unhashable values fail validation downstream
-
     def _distributable(self, typed: ServiceRequest) -> bool:
         """Whether this request takes the distributed max-cover path.
 
@@ -791,13 +655,25 @@ class ClusterCoordinator:
         return all(handle.is_alive() for handle in self._handles)
 
     def _compute(self, typed: ServiceRequest) -> ServiceResponse:
+        """The stack's innermost handler: live stats, fan-out, or routing."""
+        if isinstance(typed, StatsRequest):
+            # Live cluster-wide counters, read here rather than on a shard.
+            return ServiceResponse.success(typed.service, self.stats())
         if self._distributable(typed):
-            try:
-                return self._execute_targeted_distributed(typed)
-            except ShardError:
-                # A shard died or stalled mid-session.  Whole-query routing
-                # on a live replica computes the identical bytes.
-                pass
+            shard_failures: List[ShardError] = []
+
+            def cover(engine, gamma, roots, k):
+                try:
+                    return self._distributed_cover(engine, gamma, roots, k)
+                except ShardError as error:
+                    shard_failures.append(error)
+                    raise
+
+            response = self.service.handle(typed, cover=cover)
+            if not shard_failures:
+                return response
+            # A shard died or stalled mid-session.  Whole-query routing on
+            # a live replica computes the identical bytes.
         handle = self._pick_routed(typed)
         if handle is None:
             return ServiceResponse.failure(
@@ -839,106 +715,25 @@ class ClusterCoordinator:
     # Distributed targeted IM (the fan-out max-cover pipeline)
     # ------------------------------------------------------------------
 
-    def _execute_targeted_distributed(
-        self, request: TargetedInfluencersRequest
-    ) -> ServiceResponse:
-        """Mirror of the single-process targeted handler, fanned out.
-
-        Every validation, draw and float operation replays the serial code
-        path on the coordinator's replica; only the chunk sampling and the
-        per-round coverage bookkeeping run on the shards.  Raises
-        :class:`ShardError` (only) when the fan-out itself fails, so the
-        caller can fall back to whole-query routing.
-        """
-        backend = self.service.backend
-        config = backend.config
-        try:
-            request.validate()  # the ValidationMiddleware step, mirrored
-        except ValidationError as error:
-            return ServiceResponse.failure(
-                request.service, "invalid_request", str(error)
-            )
-        try:
-            k = request.k if request.k is not None else config.default_k
-            check_positive(k, "k")
-            resolved = backend.parse_keywords(request.keywords)
-            audience_resolved = (
-                backend.parse_keywords(request.audience_keywords)
-                if request.audience_keywords is not None
-                else resolved
-            )
-            started = time.perf_counter()
-            gamma = backend.topic_model.keyword_topic_posterior(list(resolved))
-            query = KeywordQuery(keywords=resolved, gamma=gamma, k=k)
-            engine = TargetedKeywordIM(
-                backend.edge_weights,
-                backend.inverted_index,
-                num_sets=request.num_sets,
-                seed=config.seed,
-                backend=backend.execution,
-                rr_kernel=config.rr_kernel,
-            )
-            word_ids = backend.topic_model.vocabulary.ids_of(
-                list(audience_resolved)
-            )
-            audience = engine.audience_for_keywords(word_ids)
-            seeds, weighted_spread, statistics = self._distributed_cover_query(
-                engine, gamma, k, audience
-            )
-            payload = {
-                "keywords": list(query.keywords),
-                "k": query.k,
-                "gamma": jsonify(query.gamma),
-                "seeds": list(seeds),
-                "labels": [backend.graph.label_of(node) for node in seeds],
-                "spread": float(weighted_spread),
-                "marginal_gains": [],
-                "elapsed_seconds": float(time.perf_counter() - started),
-                "statistics": jsonify(statistics),
-            }
-            return ServiceResponse.success(request.service, payload)
-        except ShardError:
-            raise
-        except ValidationError as error:
-            return ServiceResponse.failure(
-                request.service, "invalid_request", str(error)
-            )
-        except Exception as error:  # noqa: BLE001 — envelope contract
-            return ServiceResponse.failure(
-                request.service,
-                "internal_error",
-                f"{type(error).__name__}: {error}",
-            )
-
-    def _distributed_cover_query(
+    def _distributed_cover(
         self,
         engine: TargetedKeywordIM,
         gamma: np.ndarray,
+        roots: List[int],
         k: int,
-        audience: np.ndarray,
-    ) -> Tuple[List[int], float, Dict[str, float]]:
-        """The fanned-out body of :meth:`TargetedKeywordIM.query`.
+    ) -> Tuple[List[int], float]:
+        """The fanned-out :data:`~repro.core.targeted.CoverStep`.
 
-        Prelude (audience checks, root draws, chunk plan) replays the
-        serial engine draw-for-draw on the coordinator; shards sample their
-        contiguous chunk ranges and answer greedy cover rounds; the merge
-        arithmetic (:mod:`repro.cluster.merge`) recombines them exactly.
+        Builds, from the engine's stream, the chunk plan the local step
+        would sample; shards sample their contiguous chunk ranges and
+        answer greedy cover rounds; the merge arithmetic
+        (:mod:`repro.cluster.merge`) recombines them exactly.  Raises
+        :class:`ShardError` when the exchange fails.
         """
-        gamma = check_simplex(gamma, "gamma")
-        check_positive(k, "k")
-        weights = engine._check_audience(audience)
-        num_sets = engine.num_sets
-        check_positive(num_sets, "num_sets")
+        num_sets = len(roots)
         num_nodes = engine.graph.num_nodes
-        total_weight = float(weights.sum())
-        root_distribution = weights / total_weight
-        roots = engine._rng.choice(
-            num_nodes, size=num_sets, p=root_distribution
-        )
-        root_cycle = [int(root) for root in roots]
-        sequence = seed_to_sequence(engine._rng)
         plan = rr_chunk_plan(
-            num_sets, DEFAULT_RR_CHUNK_SIZE, sequence, root_cycle
+            num_sets, DEFAULT_RR_CHUNK_SIZE, seed_to_sequence(engine._rng), roots
         )
         session = f"cover-{next(self._session_ids)}"
         handles = self._handles
@@ -1017,20 +812,8 @@ class ClusterCoordinator:
             self._drop_session(acquired, session)
             for handle in acquired:
                 handle.lock.release()
-        # Exactly the serial estimator arithmetic, applied to the same
-        # integers: greedy's n-scaled spread, then the audience rescale.
-        covered_fraction_spread = (
-            num_nodes * float(covered_total) / num_sets
-        )
-        covered_fraction = covered_fraction_spread / num_nodes
-        weighted_spread = total_weight * covered_fraction
-        statistics = {
-            "audience_total_weight": total_weight,
-            "audience_users": float(np.count_nonzero(weights)),
-            "covered_fraction": covered_fraction,
-            "num_rr_sets": float(num_sets),
-        }
-        return seeds, weighted_spread, statistics
+        # greedy_max_cover's n-scaled spread, from the same integers.
+        return seeds, num_nodes * float(covered_total) / num_sets
 
     def _exchange_all(
         self, handles: Sequence[_ShardHandle], commands: Sequence[Any]

@@ -6,9 +6,11 @@ state (delayed sketch materialization, session-local packed RR batches)
 resident between requests:
 
 * a **full service replica**, inherited copy-on-write from the coordinator
-  fork, with the fork-hygiene adjustments of the process-pool executor
-  (pooled compute backend dropped, result cache disabled — the
-  coordinator's cache is the authoritative one);
+  fork, with the fork hygiene of the process-pool executor (pooled compute
+  backend dropped).  The coordinator's stack has already admitted every
+  request that arrives here, so the replica runs only the innermost
+  handler (:meth:`~repro.service.OctopusService.handle`) and counts what
+  it served in its own metrics;
 * a **node-range partition** ``[node_lo, node_hi)``: user-affine queries
   (suggestion, path exploration) are routed here by the coordinator, so
   only this shard ever materializes the influencer-index sketches its
@@ -52,6 +54,7 @@ from repro.propagation.packed import PackedRRSets
 from repro.propagation.rrsets import sample_packed_rr_sets
 from repro.service.concurrent import _adopt_worker_service
 from repro.service.dispatcher import OctopusService
+from repro.service.middleware import MetricsMiddleware
 from repro.utils.logging import get_logger
 
 _logger = get_logger("cluster.worker")
@@ -76,6 +79,9 @@ class ShardWorker:
         self.node_range = (int(node_range[0]), int(node_range[1]))
         self.arena = arena
         self._sessions: Dict[str, Dict[str, Any]] = {}
+        # Routed requests are timed and folded into the replica's own
+        # ServiceMetrics (the coordinator merges them fleet-wide).
+        self._measured = MetricsMiddleware(service.metrics)
         self.commands_served = 0
         self.requests_executed = 0
 
@@ -146,22 +152,21 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     def _handle_execute(self, command: ExecuteRequest) -> ShardReply:
-        """Run a whole request on the replica's full middleware stack.
+        """Compute a whole request the coordinator's stack routed here.
 
         A propagated ``request_id`` (the front-door trace crossed the
         fork boundary inside the command frame) re-activates a shard-side
-        trace for the duration: the replica's log lines carry the id and
-        the envelope it returns is stamped with it — the coordinator's
-        own stamp then overrides with the same id, keeping the
-        correlation end to end.
+        trace for the duration, so the replica's log lines carry the id;
+        the coordinator stamps the envelope.
         """
         self.requests_executed += 1
-        if command.request_id is None:
-            return ShardReply(
-                ok=True, value=self.service.execute(command.request)
-            )
-        with trace_context(RequestTrace(command.request_id)):
-            response = self.service.execute(command.request)
+        trace = (
+            RequestTrace(command.request_id)
+            if command.request_id is not None
+            else None
+        )
+        with trace_context(trace):
+            response = self._measured(command.request, self.service.handle)
         _logger.debug(
             "shard %d served %s request_id=%s",
             self.shard_id,
@@ -281,8 +286,7 @@ def shard_main(
     """Entry point of a forked shard process.
 
     Applies the same fork hygiene as the process-pool executor's worker
-    initializer (drop the inherited pool, disable the replica's result
-    cache — the coordinator's cache is authoritative), then serves
+    initializer (drop the inherited pool), then serves
     ``(sequence, command)`` frames until ``Shutdown`` or a closed pipe.
 
     *arena* — when the shared-memory data plane is on — is this shard's
@@ -371,22 +375,10 @@ def _serve_shard(
     """The shared shard body: fork hygiene, then the command loop.
 
     Applies the same hygiene as the process-pool executor's worker
-    initializer (drop any inherited pool, disable the replica's result
-    cache — the coordinator's cache is authoritative), then serves
+    initializer (drop any inherited pool), then serves
     ``(sequence, command)`` frames until ``Shutdown`` or a closed pipe.
     """
     _adopt_worker_service(service)
-    # The coordinator enforces the configured rate limit once, for every
-    # path; a forked private limiter here would add a second, skewed
-    # budget on routed requests.  The layer object is referenced by the
-    # replica's pre-composed middleware chain, so it is neutralised in
-    # place (an infinite bucket) rather than removed.
-    from repro.service.middleware import RateLimitMiddleware
-
-    for layer in service.middleware:
-        if isinstance(layer, RateLimitMiddleware):
-            layer.burst = float("inf")
-            layer._tokens = float("inf")
     worker = ShardWorker(service, shard_id, num_shards, node_range, arena)
     try:
         while True:

@@ -41,6 +41,7 @@ from repro.core.query import (
     KeywordSuggestionResult,
 )
 from repro.core.suggestion import KeywordSuggester
+from repro.core.targeted import CoverStep, TargetedKeywordIM
 from repro.core.topic_samples import TopicSampleIndex
 from repro.graph.digraph import SocialGraph
 from repro.index.inverted import InvertedIndex
@@ -374,13 +375,16 @@ class Octopus:
         *,
         audience_keywords: Optional[Union[str, Sequence[str]]] = None,
         num_sets: int = 2000,
+        cover: Optional[CoverStep] = None,
     ) -> InfluencerResult:
         """Targeted variant: only the relevant audience counts (ref. [7]).
 
         The audience defaults to the users who used the query keywords in
         their actions (from the inverted index); *audience_keywords* can
         target a different population than the propagated topic (e.g.
-        propagate on "game", count only "console" users).
+        propagate on "game", count only "console" users).  *cover* replaces
+        the engine's sample + greedy-cover step
+        (:data:`repro.core.targeted.CoverStep`; default: in-process).
         """
         k = k if k is not None else self.config.default_k
         check_positive(k, "k")
@@ -390,8 +394,6 @@ class Octopus:
             if audience_keywords is not None
             else resolved
         )
-        from repro.core.targeted import TargetedKeywordIM
-
         started = time.perf_counter()
         gamma = self.topic_model.keyword_topic_posterior(list(resolved))
         query = KeywordQuery(keywords=resolved, gamma=gamma, k=k)
@@ -402,6 +404,7 @@ class Octopus:
             seed=self.config.seed,
             backend=self.execution,
             rr_kernel=self.config.rr_kernel,
+            cover=cover,
         )
         word_ids = self.topic_model.vocabulary.ids_of(list(audience_resolved))
         audience = engine.audience_for_keywords(word_ids)

@@ -20,7 +20,7 @@ implements that extension on top of the OCTOPUS substrates:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,11 +39,41 @@ from repro.utils.validation import (
     check_simplex,
 )
 
-__all__ = ["TargetedKeywordIM"]
+__all__ = ["CoverStep", "TargetedKeywordIM", "sample_and_cover"]
+
+#: The one replaceable step of :meth:`TargetedKeywordIM.query`:
+#: ``(engine, gamma, roots, k) -> (seeds, n-scaled covered-set spread)`` —
+#: sample one RR set per root under γ, then greedy maximum coverage.
+CoverStep = Callable[
+    ["TargetedKeywordIM", np.ndarray, List[int], int], Tuple[List[int], float]
+]
+
+
+def sample_and_cover(
+    engine: "TargetedKeywordIM", gamma: np.ndarray, roots: List[int], k: int
+) -> Tuple[List[int], float]:
+    """The local :data:`CoverStep`: sample on the engine's execution backend
+    (per-chunk spawned sub-streams keep it deterministic per query), then
+    cover in-process."""
+    collection = RRSetCollection.sample(
+        engine.graph,
+        engine.edge_weights.edge_probabilities(gamma),
+        len(roots),
+        seed=engine._rng,
+        roots=roots,
+        backend=engine.backend,
+        kernel=engine.rr_kernel,
+    )
+    return collection.greedy_max_cover(k)
 
 
 class TargetedKeywordIM:
-    """Keyword IM restricted to a weighted target audience."""
+    """Keyword IM restricted to a weighted target audience.
+
+    *cover* replaces the sample + greedy-cover step (the cluster
+    coordinator passes its shard fan-out); the audience checks, the root
+    draw and the spread arithmetic around it are the same either way.
+    """
 
     def __init__(
         self,
@@ -54,6 +84,7 @@ class TargetedKeywordIM:
         seed: SeedLike = None,
         backend: Optional["ExecutionBackend"] = None,
         rr_kernel: str = DEFAULT_RR_KERNEL,
+        cover: Optional[CoverStep] = None,
     ) -> None:
         check_positive(num_sets, "num_sets")
         check_rr_kernel(rr_kernel)
@@ -63,6 +94,7 @@ class TargetedKeywordIM:
         self.num_sets = num_sets
         self.backend = backend
         self.rr_kernel = rr_kernel
+        self.cover = cover if cover is not None else sample_and_cover
         self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------
@@ -124,25 +156,16 @@ class TargetedKeywordIM:
         num_sets = num_sets if num_sets is not None else self.num_sets
         check_positive(num_sets, "num_sets")
 
-        probabilities = self.edge_weights.edge_probabilities(gamma)
         total_weight = float(weights.sum())
         root_distribution = weights / total_weight
+        # Audience-weighted roots are drawn here from the engine stream;
+        # the cover step continues from the same stream.
         roots = self._rng.choice(
             self.graph.num_nodes, size=num_sets, p=root_distribution
         )
-        # Audience-weighted roots are drawn above from the engine stream;
-        # the sampling itself runs on the configured execution backend
-        # (per-chunk spawned sub-streams keep it deterministic per query).
-        collection = RRSetCollection.sample(
-            self.graph,
-            probabilities,
-            num_sets,
-            seed=self._rng,
-            roots=[int(root) for root in roots],
-            backend=self.backend,
-            kernel=self.rr_kernel,
+        seeds, covered_fraction_spread = self.cover(
+            self, gamma, [int(root) for root in roots], k
         )
-        seeds, covered_fraction_spread = collection.greedy_max_cover(k)
         # greedy_max_cover scales by n; rescale to audience-weight units.
         covered_fraction = covered_fraction_spread / self.graph.num_nodes
         weighted_spread = total_weight * covered_fraction

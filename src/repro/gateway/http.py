@@ -76,7 +76,6 @@ from repro.gateway.admission import (
 )
 from repro.gateway.limits import ANONYMOUS_TENANT, TenantRateLimiter
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
-from repro.obs.prometheus import render_exposition
 from repro.obs.trace import (
     RequestTrace,
     clean_request_id,
@@ -91,6 +90,8 @@ from repro.server.wire import (
     batch_body_text,
     bearer_token_matches,
     decode_body,
+    health_body,
+    metrics_exposition,
     parse_batch,
     parse_content_length,
     retry_after_header_value,
@@ -383,27 +384,14 @@ class OctopusAsyncGateway:
         return f"{scheme}://{host}:{port}"
 
     def health(self) -> Dict[str, Any]:
-        """The ``/healthz`` body: liveness, uptime, queue gauges.
-
-        Merges the executor's own ``health()`` (the cluster coordinator's
-        per-shard liveness) exactly like the threaded server, and adds the
-        gateway's lane depths so an overloaded-but-alive gateway is
-        distinguishable from a healthy idle one.
-        """
-        payload: Dict[str, Any] = {
-            "status": "draining" if self.draining else "ok",
-            "uptime_seconds": round(time.monotonic() - self._started_at, 3),
-            "requests_served": float(self.http_counters.total),
-            "executor": type(self.service).__name__,
-            "frontend": "asyncio",
-            "lanes": self._queue.snapshot(),
-        }
-        describe = getattr(self.service, "health", None)
-        if callable(describe):
-            details = describe()
-            payload["cluster"] = details
-            if details.get("degraded") and not self.draining:
-                payload["status"] = "degraded"
+        """The ``/healthz`` body (:func:`repro.server.wire.health_body`)
+        plus the gateway's lane depths, so an overloaded-but-alive
+        gateway is distinguishable from a healthy idle one."""
+        payload = health_body(
+            self.service, self.http_counters, self.draining, self._started_at
+        )
+        payload["frontend"] = "asyncio"
+        payload["lanes"] = self._queue.snapshot()
         return payload
 
     def stats(self) -> Dict[str, Any]:
@@ -420,22 +408,11 @@ class OctopusAsyncGateway:
         return stats
 
     def metrics_exposition(self) -> str:
-        """The ``GET /metrics`` body (Prometheus text format 0.0.4).
-
-        Rendered from in-process state only — the executor's
-        ``ServiceMetrics`` and the gateway's HTTP counters — never from
-        ``stats()``, which on a cluster executor pings every shard; a
-        scrape must stay cheap and answer inline on the event loop.
-        """
-        metrics = getattr(self.service, "metrics", None)
-        return render_exposition(
-            service_state=metrics.export_state() if metrics is not None else None,
-            http_state=self.http_counters.export_state(),
-            extra={
-                "uptime_seconds": round(
-                    time.monotonic() - self._started_at, 3
-                ),
-            },
+        """The ``GET /metrics`` body
+        (:func:`repro.server.wire.metrics_exposition`); in-process state
+        only, so it answers inline on the event loop."""
+        return metrics_exposition(
+            self.service, self.http_counters, self._started_at
         )
 
     # ------------------------------------------------------------------

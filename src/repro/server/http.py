@@ -57,7 +57,6 @@ from typing import Any, Dict, Optional, Union
 from urllib.parse import urlsplit
 
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
-from repro.obs.prometheus import render_exposition
 from repro.obs.trace import (
     RequestTrace,
     clean_request_id,
@@ -73,6 +72,8 @@ from repro.server.wire import (
     batch_body_text,
     bearer_token_matches,
     decode_body,
+    health_body,
+    metrics_exposition,
     parse_batch,
     parse_content_length,
     retry_after_header_value,
@@ -453,28 +454,10 @@ class OctopusHTTPServer(ThreadingHTTPServer):
         return f"{scheme}://{host}:{port}"
 
     def health(self) -> Dict[str, Any]:
-        """The ``/healthz`` body: liveness, uptime and request count.
-
-        When the executor exposes its own ``health()`` (the cluster
-        coordinator's per-shard liveness), the details are merged in and a
-        degraded executor flips ``status`` to ``"degraded"`` — load
-        balancers see a sharded deployment losing shards without parsing
-        executor internals.
-        """
-        snapshot = self.http_counters.snapshot()
-        payload: Dict[str, Any] = {
-            "status": "draining" if self.draining else "ok",
-            "uptime_seconds": round(time.monotonic() - self._started_at, 3),
-            "requests_served": snapshot["http.requests"],
-            "executor": type(self.service).__name__,
-        }
-        describe = getattr(self.service, "health", None)
-        if callable(describe):
-            details = describe()
-            payload["cluster"] = details
-            if details.get("degraded") and not self.draining:
-                payload["status"] = "degraded"
-        return payload
+        """The ``/healthz`` body (:func:`repro.server.wire.health_body`)."""
+        return health_body(
+            self.service, self.http_counters, self.draining, self._started_at
+        )
 
     def stats(self) -> Dict[str, Any]:
         """Service + backend + HTTP counters in one flat dict (floats plus
@@ -484,22 +467,10 @@ class OctopusHTTPServer(ThreadingHTTPServer):
         return stats
 
     def metrics_exposition(self) -> str:
-        """The ``GET /metrics`` body (Prometheus text format 0.0.4).
-
-        Rendered from in-process state only — the executor's
-        ``ServiceMetrics`` and this server's HTTP counters — never from
-        ``stats()``, which on a cluster executor pings every shard; a
-        scrape must stay cheap and green under saturation.
-        """
-        metrics = getattr(self.service, "metrics", None)
-        return render_exposition(
-            service_state=metrics.export_state() if metrics is not None else None,
-            http_state=self.http_counters.export_state(),
-            extra={
-                "uptime_seconds": round(
-                    time.monotonic() - self._started_at, 3
-                ),
-            },
+        """The ``GET /metrics`` body
+        (:func:`repro.server.wire.metrics_exposition`)."""
+        return metrics_exposition(
+            self.service, self.http_counters, self._started_at
         )
 
     def handle_error(self, request: Any, client_address: Any) -> None:

@@ -25,15 +25,19 @@ import hmac
 import json
 import math
 import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.histogram import LatencyHistogram
+from repro.obs.prometheus import render_exposition
 from repro.service.responses import ServiceResponse
 
 __all__ = [
     "HTTP_STATUS_BY_ERROR_CODE",
     "KNOWN_PATHS",
     "HTTPCounters",
+    "health_body",
+    "metrics_exposition",
     "status_for_response",
     "bearer_token_matches",
     "unauthorized_envelope",
@@ -183,6 +187,51 @@ class HTTPCounters:
                 },
                 "histogram": self.latency,
             }
+
+
+def health_body(
+    executor: Any, counters: HTTPCounters, draining: bool, started_at: float
+) -> Dict[str, Any]:
+    """The ``/healthz`` body: liveness, uptime and request count.
+
+    *started_at* is the front end's ``time.monotonic()`` boot reading.
+    When the executor exposes its own ``health()`` (the cluster
+    coordinator's per-shard liveness), the details are merged in and a
+    degraded executor flips ``status`` to ``"degraded"`` — load balancers
+    see a sharded deployment losing shards without parsing executor
+    internals.
+    """
+    payload: Dict[str, Any] = {
+        "status": "draining" if draining else "ok",
+        "uptime_seconds": round(time.monotonic() - started_at, 3),
+        "requests_served": float(counters.total),
+        "executor": type(executor).__name__,
+    }
+    describe = getattr(executor, "health", None)
+    if callable(describe):
+        details = describe()
+        payload["cluster"] = details
+        if details.get("degraded") and not draining:
+            payload["status"] = "degraded"
+    return payload
+
+
+def metrics_exposition(
+    executor: Any, counters: HTTPCounters, started_at: float
+) -> str:
+    """The ``GET /metrics`` body (Prometheus text format 0.0.4).
+
+    Rendered from in-process state only — the executor's
+    ``ServiceMetrics`` and the front end's HTTP counters — never from
+    ``stats()``, which on a cluster executor pings every shard; a scrape
+    must stay cheap and green under saturation.
+    """
+    metrics = getattr(executor, "metrics", None)
+    return render_exposition(
+        service_state=metrics.export_state() if metrics is not None else None,
+        http_state=counters.export_state(),
+        extra={"uptime_seconds": round(time.monotonic() - started_at, 3)},
+    )
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,12 @@ worker pool:
   recomputing it — the concurrency analogue of the batch executor's
   duplicate sharing.
 * ``mode="processes"`` — each worker owns a forked replica of the service,
-  sidestepping the GIL for true parallel query execution.  The parent
-  keeps the authoritative metrics and result cache (consulted before
-  dispatch, populated after), so repeated queries still hit one shared
-  cache and ``stats()`` stays meaningful.
+  sidestepping the GIL for true parallel query execution.  The parent runs
+  the dispatcher's one middleware stack — rate limit, validation, user
+  middleware, result cache, metrics — ending in "compute on a forked
+  replica" (:meth:`OctopusService.over`); a replica executes only
+  :meth:`OctopusService.handle`.  A request the cache can answer needs no
+  worker and is served on the calling thread.
 
 Everything is future-based: :meth:`~ConcurrentOctopusService.submit`
 returns a :class:`~concurrent.futures.Future` resolving to a
@@ -31,19 +33,15 @@ many while preserving input order.
 from __future__ import annotations
 
 import contextvars
-import copy
-import dataclasses
 import multiprocessing
 import threading
-import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backend.base import default_worker_count
 from repro.core.octopus import Octopus
 from repro.service.dispatcher import OctopusService, RequestLike
-from repro.service.middleware import CacheMiddleware
-from repro.service.requests import ServiceRequest
+from repro.service.requests import ServiceRequest, StatsRequest
 from repro.service.responses import ServiceResponse
 from repro.utils.validation import ValidationError, check_positive
 
@@ -55,30 +53,15 @@ __all__ = ["ConcurrentOctopusService"]
 _WORKER_SERVICE: Optional[OctopusService] = None
 
 
-class _NoOpCache:
-    """Disables a worker replica's result cache (see initializer below)."""
-
-    @staticmethod
-    def get(key: Any) -> None:
-        return None
-
-    @staticmethod
-    def put(key: Any, value: Any) -> None:
-        pass
-
-
 def _adopt_worker_service(service: OctopusService) -> None:
     """Pool initializer: install this process's service replica.
 
-    Two fork-hygiene adjustments:
-
-    * pooled execution backends do not survive a fork (their worker
-      threads/processes belong to the parent), so the replica's backend
-      drops its executor and lazily re-creates one if needed;
-    * the replica's result cache is disabled — the *parent* keeps the one
-      authoritative cache, and a private forked cache could serve stale
-      results forever (the parent cannot see or invalidate it after e.g. a
-      ``cache.clear()`` or model refresh).
+    Fork hygiene: pooled execution backends do not survive a fork (their
+    worker threads/processes belong to the parent), so the replica's
+    backend drops its executor and lazily re-creates one if needed.  The
+    replica's middleware is left as inherited and never runs — replicas
+    execute :meth:`OctopusService.handle` only — so a forked cache or
+    rate-limit bucket can neither go stale nor spend a second budget.
     """
     global _WORKER_SERVICE
     execution = service.backend.execution
@@ -89,19 +72,16 @@ def _adopt_worker_service(service: OctopusService) -> None:
         # this replica must build its own (inside the inherited session
         # directory, which keeps crash cleanup with the original owner).
         execution._reset_shm_after_fork()
-    for layer in service.middleware:
-        if isinstance(layer, CacheMiddleware):
-            layer.cache = _NoOpCache()
     _WORKER_SERVICE = service
 
 
-def _process_execute(request: ServiceRequest) -> ServiceResponse:
-    """Run one request on this worker's replica (process mode)."""
+def _replica_handle(request: ServiceRequest) -> ServiceResponse:
+    """Compute one admitted request on this worker's replica."""
     if _WORKER_SERVICE is None:  # pragma: no cover — initializer contract
         return ServiceResponse.failure(
             request.service, "internal_error", "worker has no service replica"
         )
-    return _WORKER_SERVICE.execute(request)
+    return _WORKER_SERVICE.handle(request)
 
 
 class ConcurrentOctopusService:
@@ -109,8 +89,9 @@ class ConcurrentOctopusService:
 
     Accepts either an existing :class:`OctopusService` or a bare
     :class:`Octopus` backend (wrapped with *service_kwargs*).  The wrapped
-    dispatcher stays fully usable on its own; this class adds scheduling,
-    not semantics.
+    dispatcher stays fully usable on its own; this class adds scheduling
+    (a pool, in-flight de-duplication), not semantics — every admitted
+    request runs the dispatcher's own stack exactly once, in this process.
     """
 
     def __init__(
@@ -146,12 +127,29 @@ class ConcurrentOctopusService:
         self.mode = mode
         self.workers = int(workers) if workers is not None else default_worker_count()
         check_positive(self.workers, "workers")
-        self._executor: Optional[Executor] = None
-        self._executor_lock = threading.Lock()
+        # Pool threads run the serving stack.  In thread mode that is the
+        # dispatcher itself; in process mode the same stack ends in a
+        # replica computation the thread merely waits for.  Neither pool
+        # starts a thread or forks a process before its first submission.
+        self._threads = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="octopus-service"
+        )
+        self._replicas: Optional[ProcessPoolExecutor] = None
+        self._front = self.service
+        if mode == "processes":
+            # fork: workers inherit the parent's indexes by copy-on-write
+            # instead of pickling them.
+            self._replicas = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt_worker_service,
+                initargs=(self.service,),
+            )
+            self._front = self.service.over(self._compute_on_replica)
         self._inflight: Dict[Tuple[str, Any], "Future[ServiceResponse]"] = {}
-        # RLock: registering an already-completed future (e.g. a parent
-        # cache hit) fires its retire callback synchronously on this same
-        # thread, which re-enters the lock.
+        # RLock: a future that finished before its retire callback was
+        # registered fires it synchronously on this same thread, which
+        # re-enters the lock.
         self._inflight_lock = threading.RLock()
         self._shared_inflight = 0
         self.closed = False
@@ -183,21 +181,22 @@ class ConcurrentOctopusService:
         flight attach to the leader's computation and receive its result
         with ``cache_hit=True``; if the leader fails, each follower
         recomputes independently (failures are never shared, matching the
-        batch executor).
+        batch executor).  A closed executor answers ``internal_error``.
         """
+        if self.closed:
+            return _completed(self.service.refuse(request))
         try:
             typed = OctopusService._coerce(request)
-        except ValidationError as error:
-            return _completed(
-                ServiceResponse.failure(
-                    OctopusService._service_name_of(request),
-                    "malformed_request",
-                    str(error),
-                )
-            )
+        except ValidationError:
+            # The dispatcher owns the malformed-request envelope.
+            return _completed(self.service.execute(request))
         key = self._dedup_key(typed)
         if key is None:
             return self._submit_compute(typed)
+        if self._replicas is not None and key[1] in self.service.cache:
+            # Needs no worker: the stack answers it from the result cache
+            # right here, on the calling thread.
+            return _completed(self._front.execute(typed))
         with self._inflight_lock:
             leader = self._inflight.get(key)
             if leader is None:
@@ -226,12 +225,11 @@ class ConcurrentOctopusService:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Drain and release the worker pool."""
+        """Drain and release the worker pool; idempotent."""
         self.closed = True
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        self._threads.shutdown(wait=True)
+        if self._replicas is not None:
+            self._replicas.shutdown(wait=True)
 
     def __enter__(self) -> "ConcurrentOctopusService":
         return self
@@ -250,38 +248,17 @@ class ConcurrentOctopusService:
 
     @property
     def cache(self):
-        """The shared result cache (authoritative in both modes)."""
+        """The dispatcher's result cache (the only one, in both modes)."""
         return self.service.cache
 
     @property
     def metrics(self):
-        """The shared metrics collector (authoritative in both modes)."""
+        """The dispatcher's metrics collector (the only one, in both modes)."""
         return self.service.metrics
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _pool(self) -> Executor:
-        with self._executor_lock:
-            if self._executor is None:
-                if self.closed:
-                    raise ValidationError("executor is closed")
-                if self.mode == "threads":
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="octopus-service",
-                    )
-                else:
-                    # fork: workers inherit the parent's indexes by
-                    # copy-on-write instead of pickling them.
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        mp_context=multiprocessing.get_context("fork"),
-                        initializer=_adopt_worker_service,
-                        initargs=(self.service,),
-                    )
-            return self._executor
 
     @staticmethod
     def _dedup_key(typed: ServiceRequest) -> Optional[Tuple[str, Any]]:
@@ -308,65 +285,37 @@ class ConcurrentOctopusService:
     def _submit_compute(
         self, typed: ServiceRequest
     ) -> "Future[ServiceResponse]":
-        """Dispatch one computation to the pool (no de-duplication).
+        """Run the serving stack for one request on a pool thread.
 
-        Thread mode runs the dispatch under a copy of the caller's
-        context so a front door's active request trace (a context
-        variable) follows the request onto the worker thread.
+        The thread runs under a copy of the caller's context so a front
+        door's active request trace (a context variable) follows the
+        request onto it.
         """
-        if self.mode == "threads":
-            context = contextvars.copy_context()
-            return self._pool().submit(
-                context.run, self.service.execute, typed
+        context = contextvars.copy_context()
+        try:
+            return self._threads.submit(
+                context.run, self._front.execute, typed
             )
-        return self._submit_process(typed)
+        except RuntimeError:  # close() raced this submission
+            return _completed(self.service.refuse(typed))
 
-    def _submit_process(
-        self, typed: ServiceRequest
-    ) -> "Future[ServiceResponse]":
-        """Process mode: parent-side cache check, dispatch, then record."""
-        key = typed.cache_key()
-        if key is not None:
-            cached = self.service.cache.get(key)
-            if cached is not None:
-                started = time.perf_counter()
-                response = dataclasses.replace(
-                    cached,
-                    cache_hit=True,
-                    payload=copy.deepcopy(cached.payload),
-                    latency_ms=(time.perf_counter() - started) * 1e3,
-                )
-                self.service.metrics.record(response)
-                return _completed(response)
-        outer: "Future[ServiceResponse]" = Future()
-        inner = self._pool().submit(_process_execute, typed)
+    def _compute_on_replica(self, request: ServiceRequest) -> ServiceResponse:
+        """Process mode's innermost handler: a forked replica's answer.
 
-        def _finish(done: "Future[ServiceResponse]") -> None:
-            try:
-                response = done.result()
-            except Exception as error:  # noqa: BLE001 — envelope contract
-                response = ServiceResponse.failure(
-                    typed.service,
-                    "internal_error",
-                    f"{type(error).__name__}: {error}",
-                )
-            self.service.metrics.record(response)
-            if key is not None and response.ok and not response.cache_hit:
-                # Tracing fields never enter the cache: a later hit
-                # belongs to a different request.
-                self.service.cache.put(
-                    key,
-                    dataclasses.replace(
-                        response,
-                        payload=copy.deepcopy(response.payload),
-                        request_id=None,
-                        timings=None,
-                    ),
-                )
-            outer.set_result(response)
-
-        inner.add_done_callback(_finish)
-        return outer
+        Statistics are the one exception — the live counters are this
+        process's, so they are read here.
+        """
+        if isinstance(request, StatsRequest):
+            return ServiceResponse.success(request.service, self.stats())
+        assert self._replicas is not None
+        try:
+            return self._replicas.submit(_replica_handle, request).result()
+        except Exception as error:  # noqa: BLE001 — envelope contract
+            return ServiceResponse.failure(
+                request.service,
+                "internal_error",
+                f"{type(error).__name__}: {error}",
+            )
 
     def _attach_follower(
         self, leader: "Future[ServiceResponse]", typed: ServiceRequest
@@ -380,15 +329,7 @@ class ConcurrentOctopusService:
             except Exception:  # noqa: BLE001 — leader already normalises
                 response = None
             if response is not None and response.ok:
-                started = time.perf_counter()
-                shared = dataclasses.replace(
-                    response,
-                    cache_hit=True,
-                    payload=copy.deepcopy(response.payload),
-                    latency_ms=(time.perf_counter() - started) * 1e3,
-                )
-                self.service.metrics.record(shared)
-                follower.set_result(shared)
+                follower.set_result(self.service.share(response))
                 return
             # Failures are not shared: recompute this duplicate alone.
             retry = self._submit_compute(typed)

@@ -13,11 +13,12 @@ interactive workloads amortize index lookups.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.octopus import Octopus
+from repro.core.query import InfluencerResult
+from repro.core.targeted import CoverStep
 from repro.index.cache import LRUCache
 from repro.obs.trace import stage, stamp_response
 from repro.service.middleware import (
@@ -63,6 +64,13 @@ class OctopusService:
     The result cache lives *here*, not in the backend: every entry point
     (CLI, workload engine, future wire servers) shares one cache with one
     set of counters.
+
+    The stack ends in :meth:`handle`, which computes on the local backend.
+    The multi-process executors plug in *behind* the stack instead of
+    re-implementing it: :meth:`over` returns this same service — same
+    middleware objects, cache and metrics — ending in their handler
+    (compute on a forked replica, route to or fan out over shards), and
+    the forked replicas run :meth:`handle` alone.
     """
 
     def __init__(
@@ -99,10 +107,19 @@ class OctopusService:
         }
         # The stack is immutable after construction: compose it once
         # instead of allocating wrapper closures on every request.
-        entry: Handler = self._handle
-        for layer in reversed(self.middleware):
-            entry = self._wrap(layer, entry)
-        self._entry = entry
+        self._entry = self._compose(self.handle)
+
+    def over(self, terminal: Handler) -> "OctopusService":
+        """This service with its stack ending in *terminal*.
+
+        The copy shares every middleware object, the cache and the metrics
+        with the original, so a rate limit, a user middleware or a cached
+        answer applies once, in the serving process, whichever handler
+        does the computing.
+        """
+        front = copy.copy(self)
+        front._entry = front._compose(terminal)
+        return front
 
     # ------------------------------------------------------------------
     # Execution
@@ -162,16 +179,7 @@ class OctopusService:
                     # reject it inside the stack; just don't de-duplicate
                     key, original = None, None
                 if original is not None:
-                    started = time.perf_counter()
-                    payload = copy.deepcopy(original.payload)
-                    duplicate = dataclasses.replace(
-                        original,
-                        cache_hit=True,
-                        payload=payload,
-                        latency_ms=(time.perf_counter() - started) * 1e3,
-                    )
-                    responses[position] = duplicate
-                    self.metrics.record(duplicate)
+                    responses[position] = self.share(original)
                     continue
                 response = self._run_stack(typed)
                 responses[position] = response
@@ -182,6 +190,24 @@ class OctopusService:
             stamp_response(response)  # type: ignore[arg-type]
             for response in responses
         ]
+
+    def share(self, original: ServiceResponse) -> ServiceResponse:
+        """*original* as answered to a duplicate request that never ran the
+        stack (a batch duplicate, an in-flight follower): timed and
+        counted as a cache hit."""
+        started = time.perf_counter()
+        return self.metrics.timed(original.as_cache_hit(), started)
+
+    def refuse(self, request: RequestLike) -> ServiceResponse:
+        """What a closed executor answers: one ``internal_error`` envelope,
+        with nothing looked up, computed or counted."""
+        return stamp_response(
+            ServiceResponse.failure(
+                self._service_name_of(request),
+                "internal_error",
+                "executor is closed",
+            )
+        )
 
     def stats(self) -> Dict[str, Any]:
         """Merged serving + backend statistics.
@@ -234,6 +260,13 @@ class OctopusService:
         """Run the request through the pre-composed middleware chain."""
         return self._entry(request)
 
+    def _compose(self, terminal: Handler) -> Handler:
+        """The middleware chain, outermost first, ending in *terminal*."""
+        entry = terminal
+        for layer in reversed(self.middleware):
+            entry = self._wrap(layer, entry)
+        return entry
+
     @staticmethod
     def _wrap(layer: Middleware, inner: Handler) -> Handler:
         """One composition step (named function to keep closures distinct)."""
@@ -243,8 +276,16 @@ class OctopusService:
 
         return wrapped
 
-    def _handle(self, request: ServiceRequest) -> ServiceResponse:
-        """Innermost handler: dispatch to the backend, envelope the outcome."""
+    def handle(
+        self, request: ServiceRequest, **options: Any
+    ) -> ServiceResponse:
+        """Innermost handler: dispatch to the backend, envelope the outcome.
+
+        No middleware runs here — this is what a forked replica executes
+        for a request its parent's stack already admitted.  *options* go
+        to the per-service handler (the cluster coordinator passes
+        ``cover=`` to the targeted one).
+        """
         handler = self._handlers.get(request.service)
         if handler is None:
             return ServiceResponse.failure(
@@ -254,7 +295,7 @@ class OctopusService:
             )
         try:
             with stage("backend"):
-                payload = handler(request)
+                payload = handler(request, **options)
         except ValidationError as error:
             return ServiceResponse.failure(
                 request.service, "invalid_request", str(error)
@@ -271,28 +312,30 @@ class OctopusService:
     # -- per-service handlers -------------------------------------------
 
     def _handle_influencers(self, request: FindInfluencersRequest) -> Dict:
-        """Keyword IM via the backend; payload mirrors InfluencerResult."""
-        result = self.backend.find_influencers(request.keywords, k=request.k)
-        return {
-            "keywords": list(result.query.keywords),
-            "k": result.query.k,
-            "gamma": jsonify(result.query.gamma),
-            "seeds": list(result.seeds),
-            "labels": list(result.labels),
-            "spread": float(result.spread),
-            "marginal_gains": list(result.marginal_gains),
-            "elapsed_seconds": float(result.elapsed_seconds),
-            "statistics": jsonify(result.statistics),
-        }
-
-    def _handle_targeted(self, request: TargetedInfluencersRequest) -> Dict:
-        """Targeted keyword IM (relevant-audience variant) via the backend."""
-        result = self.backend.find_targeted_influencers(
-            request.keywords,
-            k=request.k,
-            audience_keywords=request.audience_keywords,
-            num_sets=request.num_sets,
+        """Keyword IM via the backend."""
+        return self._influencer_payload(
+            self.backend.find_influencers(request.keywords, k=request.k)
         )
+
+    def _handle_targeted(
+        self,
+        request: TargetedInfluencersRequest,
+        cover: Optional[CoverStep] = None,
+    ) -> Dict:
+        """Targeted keyword IM (relevant-audience variant) via the backend."""
+        return self._influencer_payload(
+            self.backend.find_targeted_influencers(
+                request.keywords,
+                k=request.k,
+                audience_keywords=request.audience_keywords,
+                num_sets=request.num_sets,
+                cover=cover,
+            )
+        )
+
+    @staticmethod
+    def _influencer_payload(result: InfluencerResult) -> Dict:
+        """The wire payload of both IM services; mirrors InfluencerResult."""
         return {
             "keywords": list(result.query.keywords),
             "k": result.query.k,

@@ -139,6 +139,15 @@ class ServiceMetrics:
                 counters.cache_hits += 1
             counters.histogram.observe(response.latency_ms)
 
+    def timed(self, response: ServiceResponse, started: float) -> ServiceResponse:
+        """Stamp *response* with the latency since *started* (a
+        ``time.perf_counter`` reading) and fold it into the counters."""
+        response = dataclasses.replace(
+            response, latency_ms=(time.perf_counter() - started) * 1e3
+        )
+        self.record(response)
+        return response
+
     def snapshot(self) -> Dict[str, float]:
         """Flat metric dict, keyed ``service.<name>.<metric>``.
 
@@ -205,12 +214,7 @@ class MetricsMiddleware:
     ) -> ServiceResponse:
         """Measure the downstream call and record the outcome."""
         started = time.perf_counter()
-        response = call_next(request)
-        response = dataclasses.replace(
-            response, latency_ms=(time.perf_counter() - started) * 1e3
-        )
-        self.metrics.record(response)
-        return response
+        return self.metrics.timed(call_next(request), started)
 
 
 class ValidationMiddleware:
@@ -254,9 +258,7 @@ class CacheMiddleware:
         with stage("cache_lookup"):
             cached = self.cache.get(key)
         if cached is not None:
-            return dataclasses.replace(
-                cached, cache_hit=True, payload=copy.deepcopy(cached.payload)
-            )
+            return cached.as_cache_hit()
         response = call_next(request)
         if response.ok:
             self.cache.put(

@@ -9,6 +9,8 @@ log can be parsed back into an identical object: ``ServiceResponse.from_json
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -151,6 +153,16 @@ class ServiceResponse:
     cache_hit: bool = False
     request_id: Optional[str] = None
     timings: Optional[Dict[str, float]] = None
+
+    def as_cache_hit(self) -> "ServiceResponse":
+        """This answer as handed to a later or duplicate request.
+
+        ``cache_hit=True`` over a deep-copied payload, so a caller mutating
+        its response can never poison the cache or another caller.
+        """
+        return dataclasses.replace(
+            self, cache_hit=True, payload=copy.deepcopy(self.payload)
+        )
 
     def raise_for_error(self) -> "ServiceResponse":
         """Convenience for callers that do want an exception on failure."""

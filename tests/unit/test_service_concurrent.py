@@ -225,12 +225,23 @@ class TestProcessMode:
 
 
 class TestLifecycle:
-    def test_close_is_idempotent(self, backend):
-        executor = ConcurrentOctopusService(backend, workers=2)
-        assert executor.execute(CompleteRequest(prefix="da")).ok
+    @pytest.mark.parametrize("mode", ["threads", "processes"])
+    def test_close_is_idempotent(self, backend, mode):
+        executor = ConcurrentOctopusService(backend, workers=2, mode=mode)
+        request = CompleteRequest(prefix="da")
+        assert executor.execute(request).ok
         executor.close()
         executor.close()
         assert executor.closed
+        # Closed means closed: the envelope is the error contract (never an
+        # exception), and not even the cached request is served.
+        refused = [executor.execute(request)] + executor.execute_batch(
+            [request, {"service": "teleport"}]
+        )
+        for response in refused:
+            assert not response.ok and not response.cache_hit
+            assert response.error.code == "internal_error"
+        assert executor.stats()["service.complete.requests"] == 1.0
 
     def test_workload_engine_accepts_executor(self, backend):
         from repro.engine.workload import (
