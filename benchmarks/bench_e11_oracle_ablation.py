@@ -1,15 +1,16 @@
 """E11 (ablation) — the best-effort framework's exact-evaluation oracle.
 
 DESIGN.md §5 marks the oracle as a configuration choice: Monte-Carlo
-forward simulation (noisy, cheap per call on small spreads) vs a fixed
-RR-set collection per query (deterministic within the query, pays an
-upfront sampling cost).
+forward simulation on fixed per-query live-edge worlds (each evaluation
+explores only the candidate's marginal reach) vs a fixed RR-set
+collection per query (pays an upfront sampling cost).  Both are
+deterministic within the query, so CELF compares noise-free gains with
+either.
 
 Expected shape: the RIS oracle front-loads cost (collection build) and
 then evaluates seeds in O(|collection|) set intersections, so it wins when
 the bound framework requests many evaluations (larger k); the MC oracle
-wins at small k.  Determinism also stabilises CELF: the RIS oracle should
-need fewer re-evaluations.
+pays per evaluation only for the marginal cascade and wins at small k.
 """
 
 import pytest

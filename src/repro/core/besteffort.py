@@ -119,8 +119,9 @@ class BestEffortKeywordIM:
     bound_estimator:
         Any :class:`~repro.core.bounds.UpperBoundEstimator`.
     oracle:
-        ``"mc"`` (Monte-Carlo, default), ``"ris"`` (fixed RR-set collection
-        per query, deterministic within the query), or a custom factory
+        ``"mc"`` (Monte-Carlo on fixed live-edge worlds per query,
+        default), ``"ris"`` (fixed RR-set collection per query) — both
+        deterministic within the query — or a custom factory
         ``(graph, edge_probabilities) -> SpreadEstimator``.
     num_samples / num_sets:
         Budget of the built-in oracles.

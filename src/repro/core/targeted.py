@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.im.base import IMResult
 from repro.index.inverted import InvertedIndex
+from repro.propagation.ic import IndependentCascade
 from repro.propagation.kernels import DEFAULT_RR_KERNEL, check_rr_kernel
 from repro.propagation.rrsets import RRSetCollection
 from repro.topics.edges import TopicEdgeWeights
@@ -191,16 +192,14 @@ class TargetedKeywordIM:
         num_samples: int = 500,
         seed: SeedLike = None,
     ) -> float:
-        """Monte-Carlo reference for the weighted spread of *seeds*."""
+        """Monte-Carlo reference for the weighted spread of *seeds*: the
+        audience weight of every (world, node) pair *seeds* reach on
+        *num_samples* live-edge worlds keyed from *seed*, ÷ *num_samples*."""
         gamma = check_simplex(gamma, "gamma")
         weights = self._check_audience(audience)
         check_positive(num_samples, "num_samples")
-        from repro.propagation.ic import simulate_cascade
-
-        probabilities = self.edge_weights.edge_probabilities(gamma)
-        rng = as_generator(seed)
-        total = 0.0
-        for _ in range(num_samples):
-            trace = simulate_cascade(self.graph, probabilities, seeds, rng)
-            total += sum(weights[node] for node in trace.activated)
-        return total / num_samples
+        cascade = IndependentCascade(
+            self.graph, self.edge_weights.edge_probabilities(gamma)
+        )
+        reached = cascade.sample_reach(seeds, num_samples, seed)
+        return float(weights[reached % self.graph.num_nodes].sum()) / num_samples

@@ -208,6 +208,8 @@ class _Job:
 _MAX_HEADERS = 100
 #: StreamReader line limit (also bounds a single header line).
 _STREAM_LIMIT = 64 * 1024
+#: Bound on the shutdown wait for cancelled connection handlers (seconds).
+_HANDLER_DRAIN_SECONDS = 5.0
 
 
 def _retry_after_header(seconds: float) -> str:
@@ -477,17 +479,21 @@ class OctopusAsyncGateway:
             task.cancel()
         # Idle keep-alive connections end on socket close; stuck ones are
         # aborted so shutdown is bounded regardless of peers.  Handler
-        # tasks are then cancelled and awaited — no coroutine may outlive
-        # the loop (a GC'd half-run handler is a resource leak warning).
+        # tasks are then cancelled and awaited until none is left, within
+        # a bound — no coroutine may outlive the loop (a GC'd half-run
+        # handler is a resource leak warning).  A handler leaves the set
+        # only once its socket is closed, so one that is still closing is
+        # waited for too.
         for writer in list(self._writers):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
-        handlers = list(self._connection_tasks)
-        for handler in handlers:
-            handler.cancel()
-        if handlers:
-            await asyncio.gather(*handlers, return_exceptions=True)
+        deadline = loop.time() + _HANDLER_DRAIN_SECONDS
+        while self._connection_tasks and loop.time() < deadline:
+            handlers = list(self._connection_tasks)
+            for handler in handlers:
+                handler.cancel()
+            await asyncio.wait(handlers, timeout=deadline - loop.time())
 
     # ------------------------------------------------------------------
     # Dispatch workers
@@ -603,8 +609,6 @@ class OctopusAsyncGateway:
             pass
         finally:
             self._writers.discard(writer)
-            if task is not None:
-                self._connection_tasks.discard(task)
             transport = writer.transport
             try:
                 writer.close()
@@ -619,6 +623,11 @@ class OctopusAsyncGateway:
                 # hard instead of waiting (the coroutine ends either way).
                 if transport is not None:
                     transport.abort()
+            finally:
+                # Only now: the drain waits for every task in this set,
+                # including one still closing its socket.
+                if task is not None:
+                    self._connection_tasks.discard(task)
 
     async def _read_head(
         self, reader: asyncio.StreamReader

@@ -40,8 +40,8 @@ def greedy_im(
     Parameters
     ----------
     estimator:
-        Spread oracle; defaults to Monte-Carlo estimation with
-        *num_samples* cascades per evaluation.
+        Spread oracle; defaults to Monte-Carlo estimation on
+        *num_samples* fixed live-edge worlds.
     candidates:
         Restrict selection to these nodes (defaults to all nodes).  The
         best-effort framework passes pruned candidate pools here.

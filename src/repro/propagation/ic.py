@@ -4,6 +4,12 @@ The topic-aware IC model of Section II-B reduces, once a query's topic
 distribution γ collapses the per-edge topic weights to scalars, to the
 classical IC model: every newly activated node gets one chance to activate
 each out-neighbour with the edge's probability.
+
+Two forward engines live here: :func:`simulate_cascade` runs one cascade
+(and can record its activation edges), and :class:`CascadeWorlds` runs a
+seed set's cascade in R fixed live-edge worlds at once — the Monte-Carlo
+estimators (:meth:`IndependentCascade.estimate_spread`, the ``mc`` spread
+oracle) are counts over those worlds.
 """
 
 from __future__ import annotations
@@ -15,10 +21,19 @@ import numpy as np
 
 from repro.graph.digraph import SocialGraph
 from repro.propagation.kernels import gather_csr_slices
+from repro.propagation.native import splitmix64
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError, check_node_id, check_positive
 
-__all__ = ["simulate_cascade", "CascadeTrace", "IndependentCascade"]
+__all__ = ["simulate_cascade", "CascadeTrace", "CascadeWorlds", "IndependentCascade"]
+
+#: Queued pairs and gathered edges per step of :class:`CascadeWorlds`:
+#: they bound the step's temporaries to a few arrays of 8-byte words.
+_STEP_PAIRS = 1024
+_STEP_EDGES = 4096
+
+#: Pair marks of :class:`CascadeWorlds` (0 = unmarked).
+_KEPT, _TENTATIVE = 1, 2
 
 
 @dataclass
@@ -119,12 +134,116 @@ def _check_seeds(graph: SocialGraph, seeds: Sequence[int]) -> Tuple[int, ...]:
     return tuple(checked)
 
 
+class CascadeWorlds:
+    """R fixed live-edge worlds of one IC instance, explored together.
+
+    Edge ``e`` is live in world ``w`` iff the 53-bit coin
+    ``splitmix64(key, w·E + e)`` falls below ``p_e``.  Every (world, edge)
+    pair owns exactly one independent coin that does not depend on the
+    order of traversal, so reachability in each world is distributed
+    exactly as an IC cascade, and every evaluation on one instance sees
+    the same worlds (common random numbers).
+
+    Node ``v`` of world ``w`` is the pair ``w·n + v``.  The instance holds
+    one R×n byte of marks, each pair unmarked, *kept* or *tentative*.
+    :meth:`explore` marks what new sources reach in every world at once:
+    each step is one gather → coin → dedup pass over at most
+    ``_STEP_PAIRS`` queued (world, node) pairs and ``_STEP_EDGES`` of
+    their out-edges, so temporaries stay small whatever the cascade.  A
+    reach set is closed under live edges, so exploring new sources on top
+    of marked pairs yields exactly their marginal reach.
+    """
+
+    def __init__(
+        self,
+        graph: SocialGraph,
+        edge_probabilities: np.ndarray,
+        num_worlds: int,
+        key: int,
+    ) -> None:
+        self.graph = graph
+        self.num_worlds = num_worlds
+        self.key = int(key)
+        self._probabilities = edge_probabilities
+        self._marks = np.zeros(num_worlds * graph.num_nodes, dtype=np.uint8)
+
+    def explore(self, sources: Sequence[int], *, keep: bool = False) -> int:
+        """Mark the pairs newly reached from the nodes *sources* in every
+        world and return how many there are.
+
+        Marked pairs are neither counted nor crossed.  With *keep* the new
+        marks are kept; otherwise they stay tentative until :meth:`commit`
+        or :meth:`drop`.
+        """
+        mark = _KEPT if keep else _TENTATIVE
+        marks = self._marks
+        bases = np.arange(self.num_worlds, dtype=np.int64) * self.graph.num_nodes
+        queue = (bases[:, None] + np.asarray(sources, dtype=np.int64)).ravel()
+        queue = queue[marks[queue] == 0]
+        marks[queue] = mark
+        count = queue.size
+        while queue.size:
+            fresh, queue = self._step(queue)
+            marks[fresh] = mark
+            count += fresh.size
+            queue = np.concatenate((queue, fresh))
+        return count
+
+    def commit(self) -> None:
+        """Keep every tentative mark."""
+        # Both marks become 1 (= _KEPT), in place.
+        np.not_equal(self._marks, 0, out=self._marks.view(np.bool_))
+
+    def drop(self) -> None:
+        """Unmark every tentative pair."""
+        np.bitwise_and(self._marks, _KEPT, out=self._marks)
+
+    def clear(self) -> None:
+        """Unmark every pair."""
+        self._marks.fill(0)
+
+    def marked_pairs(self) -> np.ndarray:
+        """Every marked pair, ascending."""
+        return np.flatnonzero(self._marks)
+
+    def _step(self, queue: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Expand a bounded head of *queue*: the unmarked pairs one live
+        edge past it (deduplicated), and the rest of the queue."""
+        graph = self.graph
+        num_nodes = graph.num_nodes
+        worlds, nodes = np.divmod(queue[:_STEP_PAIRS], num_nodes)
+        starts = graph.out_offsets[nodes]
+        degrees = graph.out_offsets[nodes + 1] - starts
+        ends = np.cumsum(degrees)
+        taken = max(int(np.searchsorted(ends, _STEP_EDGES, side="right")), 1)
+        worlds, starts, degrees, ends = (
+            worlds[:taken], starts[:taken], degrees[:taken], ends[:taken]
+        )
+        # Per gathered edge only its id and its coin: the edge's pair is
+        # recovered below for the few live ones.
+        edges = np.arange(ends[-1], dtype=np.int64)
+        edges += np.repeat(starts - (ends - degrees), degrees)
+        coins = np.repeat(worlds * graph.num_edges, degrees)
+        coins += edges
+        coins = splitmix64(self.key, coins.view(np.uint64))
+        coins >>= np.uint64(11)
+        # The coin u·2⁻⁵³ < p  ⟺  u < p·2⁵³, both exact in float64.
+        limits = self._probabilities[edges]
+        limits *= 2.0**53
+        live = np.flatnonzero(coins < limits)
+        del coins, limits
+        sources = np.searchsorted(ends, live, side="right")
+        pairs = worlds[sources] * num_nodes + graph.out_targets[edges[live]]
+        fresh = np.unique(pairs[self._marks[pairs] == 0])
+        return fresh, queue[taken:]
+
+
 class IndependentCascade:
     """IC model bound to a graph and a fixed per-edge probability vector.
 
     Convenience wrapper used wherever a query has already collapsed the
-    topic weights: holds the probabilities once, then simulates or estimates
-    spread repeatedly.
+    topic weights: validates and holds the probabilities once, then
+    estimates spread on :class:`CascadeWorlds` repeatedly.
     """
 
     def __init__(
@@ -138,22 +257,24 @@ class IndependentCascade:
                 f"edge_probabilities must have shape ({graph.num_edges},), "
                 f"got {probabilities.shape}"
             )
-        if np.any(probabilities < 0.0) or np.any(probabilities > 1.0):
+        if not np.all((probabilities >= 0.0) & (probabilities <= 1.0)):
             raise ValidationError("edge probabilities must lie in [0, 1]")
         self.graph = graph
         self.edge_probabilities = probabilities
 
-    def simulate(
-        self, seeds: Sequence[int], seed: SeedLike = None, *, record_trace: bool = False
-    ) -> CascadeTrace:
-        """One cascade from *seeds* (see :func:`simulate_cascade`)."""
-        return simulate_cascade(
-            self.graph,
-            self.edge_probabilities,
-            seeds,
-            seed,
-            record_trace=record_trace,
-        )
+    def worlds(self, num_samples: int, seed: SeedLike = None) -> CascadeWorlds:
+        """*num_samples* live-edge worlds keyed by one uint64 drawn from *seed*."""
+        check_positive(num_samples, "num_samples")
+        key = as_generator(seed).integers(0, 2**64, dtype=np.uint64)
+        return CascadeWorlds(self.graph, self.edge_probabilities, num_samples, key)
+
+    def sample_reach(
+        self, seeds: Sequence[int], num_samples: int, seed: SeedLike = None
+    ) -> np.ndarray:
+        """The pairs ``w·n + v`` *seeds* reach in :meth:`worlds`."""
+        worlds = self.worlds(num_samples, seed)
+        worlds.explore(_check_seeds(self.graph, seeds), keep=True)
+        return worlds.marked_pairs()
 
     def estimate_spread(
         self,
@@ -162,12 +283,7 @@ class IndependentCascade:
         seed: SeedLike = None,
     ) -> float:
         """Monte-Carlo estimate of the expected spread σ(seeds)."""
-        check_positive(num_samples, "num_samples")
-        rng = as_generator(seed)
-        total = 0
-        for _ in range(num_samples):
-            total += self.simulate(seeds, rng).spread
-        return total / num_samples
+        return self.sample_reach(seeds, num_samples, seed).size / num_samples
 
     def estimate_spread_with_interval(
         self,
@@ -177,12 +293,9 @@ class IndependentCascade:
         z_score: float = 1.96,
     ) -> Tuple[float, float]:
         """Spread estimate with a normal-approximation half-width."""
-        check_positive(num_samples, "num_samples")
-        rng = as_generator(seed)
-        values = np.empty(num_samples, dtype=np.float64)
-        for index in range(num_samples):
-            values[index] = self.simulate(seeds, rng).spread
-        mean = float(values.mean())
+        reached = self.sample_reach(seeds, num_samples, seed)
+        values = np.bincount(reached // self.graph.num_nodes, minlength=num_samples)
+        mean = reached.size / num_samples
         if num_samples > 1:
             half_width = z_score * float(values.std(ddof=1)) / np.sqrt(num_samples)
         else:

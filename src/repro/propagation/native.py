@@ -61,6 +61,7 @@ __all__ = [
     "apply_cover_seed",
     "kernel_provenance",
     "sample_rr_chunk",
+    "splitmix64",
     "use_compiled",
 ]
 
@@ -118,6 +119,25 @@ def kernel_provenance() -> str:
     return "native-compiled" if use_compiled() else "native-fallback"
 
 
+def splitmix64(key: int, counters: np.ndarray) -> np.ndarray:
+    """Counter-based splitmix64: output ``mix(key + c·γ)`` for each counter.
+
+    *counters* must be a uint64 array; it is consumed (the result is
+    computed in its buffer).  Pure wrapping uint64 array arithmetic (which
+    never warns on overflow), so any batching of the counters yields the
+    same outputs.
+    """
+    z = counters
+    z *= _GAMMA
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
 class SplitMix64Stream:
     """Counter-based splitmix64 stream with a ``Generator``-like ``random``.
 
@@ -141,11 +161,7 @@ class SplitMix64Stream:
             self._drawn + 1, self._drawn + count + 1, dtype=np.uint64
         )
         self._drawn += count
-        with np.errstate(over="ignore"):
-            z = self._seed + indices * _GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            z = z ^ (z >> np.uint64(31))
+        z = splitmix64(self._seed, indices)
         return (z >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
 
 
