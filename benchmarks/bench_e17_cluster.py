@@ -4,9 +4,9 @@ The cluster question PR 5 opens: what does shard fan-out cost, and what
 does it buy?  Three measurements per shard count (1 / 2 / 4; smoke runs
 trim to 1 / 2):
 
-* **distributed targeted latency** — the fan-out max-cover pipeline
-  (chunk-partitioned sampling + per-round marginal-gain merges), the
-  cluster's heavy path, against the single-process floor on the same
+* **distributed targeted latency** — the fan-out pipeline (one
+  chunk-range ``SampleShard`` per shard, then the ordinary greedy cover
+  on the coordinator), the cluster's heavy path, against the single-process floor on the same
   chunked configuration (byte-identical answers — E17 measures pure
   scheduling cost);
 * **routed throughput** — a stream of cheap distinct queries round-robined
@@ -54,7 +54,7 @@ ROUTED_REQUESTS = [
 @pytest.fixture(scope="module")
 def chunked_system(bench_dataset):
     """A bench-sized system on chunked sampling semantics (the semantics
-    the distributed max-cover path reproduces byte-for-byte)."""
+    the cluster fan-out reproduces byte-for-byte)."""
     config = OctopusConfig(
         num_sketches=30 if _SMOKE else 200,
         num_topic_samples=4 if _SMOKE else 16,

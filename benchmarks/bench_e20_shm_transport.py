@@ -206,7 +206,7 @@ def cluster_system(bench_dataset):
 def test_cluster_targeted_end_to_end(
     benchmark, cluster_system, transport, shards
 ):
-    """One distributed targeted query: shard fan-out, cover rounds, merge."""
+    """One distributed targeted query: shard fan-out, gather, cover."""
     request = TargetedInfluencersRequest(
         keywords="data mining", k=5, num_sets=TARGETED_NUM_SETS
     )

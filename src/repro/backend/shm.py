@@ -338,8 +338,8 @@ class ShmArena:
         The views alias shared pages the writer may later overwrite (after
         the transport's reset handshake) — consumers must copy anything
         they keep past the exchange, which every current consumer does by
-        construction (``PackedRRSets.from_chunks`` concatenates, the
-        cluster merge arithmetic allocates fresh arrays).
+        construction (``PackedRRSets.from_chunks`` concatenates, both in
+        the pool parent and in the cluster coordinator).
         """
         with self._io_lock:
             segment = self._maps.get(ref.segment)

@@ -1,20 +1,20 @@
 """Sharded multi-process serving for the OCTOPUS service layer.
 
 The cluster package keeps partitioned graph/index state resident in
-long-lived shard worker processes and merges per-shard answers behind the
-standard service-executor surface:
+long-lived shard worker processes behind the standard service-executor
+surface:
 
 * :mod:`repro.cluster.worker` — the :class:`~repro.cluster.worker.ShardWorker`
-  process: a forked full-service replica plus a node-range partition and
-  session-local packed RR batches, speaking the typed shard protocol
-  (:mod:`repro.cluster.protocol`) over its pipe;
-* :mod:`repro.cluster.merge` — the exact integer arithmetic that makes
-  greedy max-cover decompose losslessly across contiguous shard slices;
+  process: a forked full-service replica plus a node-range partition,
+  speaking the typed shard protocol (:mod:`repro.cluster.protocol`) over
+  its pipe — serving routed requests whole, or sampling its chunk range
+  of a targeted query's RR batch and returning it;
 * :mod:`repro.cluster.coordinator` — the
   :class:`~repro.cluster.coordinator.ClusterCoordinator` implementing
   ``execute`` / ``execute_batch`` / ``stats`` / ``close`` by routing or
-  fanning out, with every wait bounded and dead shards degrading (never
-  hanging) the cluster.
+  fanning out (shards sample, the coordinator runs the ordinary greedy
+  cover on the concatenated batch), with every wait bounded and dead
+  shards degrading (never hanging) the cluster.
 
 Determinism contract: shard count is a pure execution detail.
 ``deterministic_form()`` of every response is byte-identical for 1, 2 and
@@ -28,26 +28,16 @@ from repro.cluster.coordinator import (
     ShardDeadError,
     ShardError,
     ShardTimeoutError,
-)
-from repro.cluster.merge import (
-    ShardCoverState,
-    merge_coverage,
-    merge_first_seen,
     partition_contiguous,
-    pick_cover_seed,
 )
 from repro.cluster.worker import ShardWorker
 
 __all__ = [
     "ClusterCoordinator",
     "ShardCommandError",
-    "ShardCoverState",
     "ShardDeadError",
     "ShardError",
     "ShardTimeoutError",
     "ShardWorker",
-    "merge_coverage",
-    "merge_first_seen",
     "partition_contiguous",
-    "pick_cover_seed",
 ]

@@ -24,19 +24,17 @@ of two paths:
   owner; everything else load-balances round-robin over live shards.
   Every shard replica is seed-identical to the single-process service, so
   the response bytes do not depend on the chosen shard.
-* **Distributed max-cover** — targeted-IM queries fan out: the
-  coordinator runs the ordinary targeted handler on its own replica with
-  the engine's one replaceable step — sample + greedy cover
+* **Fan-out sampling** — targeted-IM queries fan out: the coordinator
+  runs the ordinary targeted handler on its own replica with the engine's
+  one replaceable step — sample + greedy cover
   (:data:`repro.core.targeted.CoverStep`) — swapped for the shard
   exchange.  That step builds the exact chunk plan
   (:func:`repro.backend.base.rr_chunk_plan`) the single-process backend
-  would build over the roots the engine drew, hands each shard a
-  contiguous chunk range to sample and hold resident, then runs the greedy
-  seed-selection loop over the wire — each round every shard reports its
-  marginal-gain
-  (coverage) vector, the coordinator picks the argmax with the serial tie-break rule
-  (:func:`repro.cluster.merge.pick_cover_seed`) and broadcasts the chosen
-  seed.  Because chunk streams are keyed by chunk index — never by shard
+  would build over the roots the engine drew, sends each shard one
+  ``SampleShard`` for its contiguous chunk range, concatenates the
+  returned batches in shard order and runs the ordinary
+  :meth:`~repro.propagation.rrsets.RRSetCollection.greedy_max_cover` on
+  them.  Because chunk streams are keyed by chunk index — never by shard
   — the sampled batch, the greedy selections and every float in the
   response are **byte-identical** for 1, 2 or 4 shards and to the
   single-process service: shard count is a pure execution detail.
@@ -48,8 +46,10 @@ Every wait is bounded.  A shard that dies mid-request surfaces as a
 structured ``internal_error`` envelope within the pipe timeout (never a
 hang, never an unparseable body); later requests route around dead shards
 and :meth:`health` reports the cluster degraded.  A distributed query that
-loses a shard mid-session falls back to whole-query routing on a live
-replica — which computes the same bytes — before giving up.
+loses a shard mid-fan-out falls back to whole-query routing on a live
+replica — which computes the same bytes — before giving up; the replies
+still owed by the other shards of that fan-out are discarded when they
+arrive, so the survivors stay in step.
 """
 
 from __future__ import annotations
@@ -65,24 +65,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.backend.base import DEFAULT_RR_CHUNK_SIZE, rr_chunk_plan, seed_to_sequence
-from repro.backend.shm import (
-    ShmArena,
-    ShmSession,
-    ShmSlice,
-    default_arena_bytes,
-    shm_enabled,
-)
-from repro.cluster.merge import (
-    merge_coverage,
-    merge_first_seen,
-    partition_contiguous,
-    pick_cover_seed,
-)
+from repro.backend.shm import ShmArena, ShmSession, ShmSlice, shm_enabled
 from repro.cluster.protocol import (
     ChunkSpec,
-    CoverInit,
-    CoverRound,
-    DropSession,
     ExecuteRequest,
     Ping,
     SampleShard,
@@ -94,6 +79,8 @@ from repro.core.octopus import Octopus
 from repro.obs.histogram import aggregate_latency_keys
 from repro.obs.trace import current_trace, record_stage, stage as trace_stage
 from repro.core.targeted import TargetedKeywordIM
+from repro.propagation.packed import PackedRRSets
+from repro.propagation.rrsets import RRSetCollection
 from repro.service.dispatcher import OctopusService, RequestLike
 from repro.service.requests import (
     ExplorePathsRequest,
@@ -111,7 +98,30 @@ __all__ = [
     "ShardDeadError",
     "ShardError",
     "ShardTimeoutError",
+    "partition_contiguous",
 ]
+
+
+def partition_contiguous(total: int, parts: int) -> List[Tuple[int, int]]:
+    """Balanced contiguous split of ``range(total)`` into *parts* slices.
+
+    Earlier slices take the remainder, matching ``np.array_split``.  Used
+    both for chunk→shard assignment (the sampling partition) and for
+    node-range ownership (the index partition); slices may be empty when
+    ``parts > total``.
+    """
+    if parts <= 0:
+        raise ValueError(f"parts must be positive, got {parts}")
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    base, remainder = divmod(total, parts)
+    bounds: List[Tuple[int, int]] = []
+    start = 0
+    for part in range(parts):
+        size = base + (1 if part < remainder else 0)
+        bounds.append((start, start + size))
+        start += size
+    return bounds
 
 
 class ShardError(Exception):
@@ -160,26 +170,20 @@ class _ShardHandle:
         self._abandoned: set = set()
 
     def resolve(self, value: Any) -> Any:
-        """Materialise any :class:`ShmSlice` descriptors in a reply value.
+        """Materialise a :class:`ShmSlice` reply into its arrays.
 
         The resolved arrays are zero-copy read-only views into the shard's
         arena; they stay valid exactly until the next command is sent to
         this shard (the worker rewinds its arena at the start of every
-        cover command), which the one-command-in-flight protocol plus the
-        merge arithmetic's fresh output arrays make safe.
+        ``SampleShard``), so the caller copies them out first.
         """
-        if self.arena is None:
-            return value
-        if isinstance(value, ShmSlice):
-            return self.arena.read(value)[0]
-        if isinstance(value, dict):
-            return {
-                key: self.arena.read(entry)[0]
-                if isinstance(entry, ShmSlice)
-                else entry
-                for key, entry in value.items()
-            }
+        if self.arena is not None and isinstance(value, ShmSlice):
+            return self.arena.read(value)
         return value
+
+    def abandon(self, sequence: int) -> None:
+        """Discard the reply to *sequence* whenever it arrives."""
+        self._abandoned.add(sequence)
 
     def is_alive(self) -> bool:
         """Liveness: not marked dead *and* the process is still running."""
@@ -222,7 +226,7 @@ class _ShardHandle:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 # The reply may still arrive; remember to discard it.
-                self._abandoned.add(sequence)
+                self.abandon(sequence)
                 raise ShardTimeoutError(
                     f"shard {self.shard_id} did not answer within "
                     f"{timeout:.1f}s"
@@ -342,18 +346,14 @@ class ClusterCoordinator:
         # directory holding one arena per shard, created *before* the
         # forks so each shard inherits its base mapping.  Ownership stays
         # here — a killed shard cannot leak a segment, and close()
-        # reclaims the whole session directory in one sweep.  Each arena
-        # must hold one cover reply (two int64 node-length vectors) with
-        # generous headroom; larger graphs grow on demand.
+        # reclaims the whole session directory in one sweep.  A sampled
+        # batch larger than the default capacity grows on demand.
         self._shm_session: Optional[ShmSession] = None
         arenas: List[Optional[ShmArena]] = [None] * self.shards
         if shm_enabled():
             self._shm_session = ShmSession()
-            capacity = max(
-                default_arena_bytes(), 4 * num_nodes * 8 + 65536
-            )
             arenas = [
-                ShmArena(self._shm_session, f"shard{shard_id}", capacity)
+                ShmArena(self._shm_session, f"shard{shard_id}")
                 for shard_id in range(self.shards)
             ]
         self._handles: List[_ShardHandle] = []
@@ -384,7 +384,6 @@ class ClusterCoordinator:
                 )
             )
         self._round_robin = itertools.count()
-        self._session_ids = itertools.count()
         self._front = self.service.over(self._compute)
 
     # ------------------------------------------------------------------
@@ -492,7 +491,7 @@ class ClusterCoordinator:
         to restore surfaces as a :class:`ShardError` (and the shard stays
         dead) rather than a half-live shard.  Once every shard is alive
         again, :meth:`health` reports ``degraded: False`` and the
-        distributed max-cover path resumes.
+        fan-out path resumes.
         """
         if self.snapshot_path is None:
             raise ValidationError(
@@ -645,7 +644,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
 
     def _distributable(self, typed: ServiceRequest) -> bool:
-        """Whether this request takes the distributed max-cover path.
+        """Whether this request takes the fan-out path.
 
         Targeted IM fans out; a degraded cluster routes instead, because
         the fan-out needs every shard's chunk range.
@@ -672,7 +671,7 @@ class ClusterCoordinator:
             response = self.service.handle(typed, cover=cover)
             if not shard_failures:
                 return response
-            # A shard died or stalled mid-session.  Whole-query routing on
+            # A shard died or stalled mid-fan-out.  Whole-query routing on
             # a live replica computes the identical bytes.
         handle = self._pick_routed(typed)
         if handle is None:
@@ -712,7 +711,7 @@ class ClusterCoordinator:
             )
 
     # ------------------------------------------------------------------
-    # Distributed targeted IM (the fan-out max-cover pipeline)
+    # Distributed targeted IM (shards sample, the coordinator covers)
     # ------------------------------------------------------------------
 
     def _distributed_cover(
@@ -725,37 +724,39 @@ class ClusterCoordinator:
         """The fanned-out :data:`~repro.core.targeted.CoverStep`.
 
         Builds, from the engine's stream, the chunk plan the local step
-        would sample; shards sample their contiguous chunk ranges and
-        answer greedy cover rounds; the merge arithmetic
-        (:mod:`repro.cluster.merge`) recombines them exactly.  Raises
+        would sample; each shard with a non-empty chunk range samples it
+        and returns the packed batch; the coordinator concatenates the
+        batches in shard order (plan order) and runs the same greedy cover
+        as :func:`~repro.core.targeted.sample_and_cover`.  Raises
         :class:`ShardError` when the exchange fails.
         """
-        num_sets = len(roots)
-        num_nodes = engine.graph.num_nodes
         plan = rr_chunk_plan(
-            num_sets, DEFAULT_RR_CHUNK_SIZE, seed_to_sequence(engine._rng), roots
+            len(roots), DEFAULT_RR_CHUNK_SIZE, seed_to_sequence(engine._rng), roots
         )
-        session = f"cover-{next(self._session_ids)}"
-        handles = self._handles
-        bounds = partition_contiguous(len(plan), len(handles))
-        sample_commands = [
-            SampleShard(
-                session=session,
-                gamma=gamma,
-                chunks=tuple(
-                    ChunkSpec(
-                        count=count,
-                        seed=child,
-                        roots=tuple(chunk_roots)
-                        if chunk_roots is not None
-                        else None,
-                    )
-                    for count, child, chunk_roots in plan[low:high]
-                ),
-                kernel=engine.rr_kernel,
+        handles: List[_ShardHandle] = []
+        commands: List[SampleShard] = []
+        for handle, (low, high) in zip(
+            self._handles, partition_contiguous(len(plan), len(self._handles))
+        ):
+            if low == high:
+                continue
+            handles.append(handle)
+            commands.append(
+                SampleShard(
+                    gamma=gamma,
+                    chunks=tuple(
+                        ChunkSpec(
+                            count=count,
+                            seed=child,
+                            roots=tuple(chunk_roots)
+                            if chunk_roots is not None
+                            else None,
+                        )
+                        for count, child, chunk_roots in plan[low:high]
+                    ),
+                    kernel=engine.rr_kernel,
+                )
             )
-            for low, high in bounds
-        ]
         acquired: List[_ShardHandle] = []
         try:
             for handle in handles:
@@ -765,55 +766,15 @@ class ClusterCoordinator:
                         f"within {self.shard_timeout:.1f}s)"
                     )
                 acquired.append(handle)
-            sample_infos = self._exchange_all(handles, sample_commands)
-            # Place each shard's member array inside the global
-            # concatenation: bases are prefix sums over shard order.
-            total_members = 0
-            bases: List[int] = []
-            for info in sample_infos:
-                bases.append(total_members)
-                total_members += int(info["num_members"])
-            init_replies = self._exchange_all(
-                handles,
-                [
-                    CoverInit(
-                        session=session, base=base, total_members=total_members
-                    )
-                    for base in bases
-                ],
+            # from_chunks copies the batches out of the arenas while the
+            # locks still keep every other command off those shards.
+            packed = PackedRRSets.from_chunks(
+                engine.graph.num_nodes, self._exchange_all(handles, commands)
             )
-            total_coverage = merge_coverage(
-                [reply["coverage"] for reply in init_replies]
-            )
-            first_seen = merge_first_seen(
-                [reply["first_seen"] for reply in init_replies]
-            )
-            seeds: List[int] = []
-            covered_total = 0
-            for _ in range(min(k, num_nodes)):
-                best = pick_cover_seed(total_coverage, first_seen)
-                if best is None:
-                    break
-                seeds.append(best)
-                round_replies = self._exchange_all(
-                    handles,
-                    [CoverRound(session=session, seed_node=best)] * len(handles),
-                )
-                total_coverage = merge_coverage(
-                    [reply["coverage"] for reply in round_replies]
-                )
-                covered_total = sum(
-                    int(reply["covered"]) for reply in round_replies
-                )
         finally:
-            # Even when the fan-out aborts (a shard died mid-session and
-            # the caller falls back to routing), the survivors must not
-            # keep the session's packed arrays resident forever.
-            self._drop_session(acquired, session)
             for handle in acquired:
                 handle.lock.release()
-        # greedy_max_cover's n-scaled spread, from the same integers.
-        return seeds, num_nodes * float(covered_total) / num_sets
+        return RRSetCollection(engine.graph, packed).greedy_max_cover(k)
 
     def _exchange_all(
         self, handles: Sequence[_ShardHandle], commands: Sequence[Any]
@@ -821,32 +782,25 @@ class ClusterCoordinator:
         """Send to every shard, then collect every reply (locks held).
 
         Sends go out before any receive so shards compute concurrently;
-        each receive is individually bounded by the shard timeout.
+        each receive is individually bounded by the shard timeout.  When
+        a send or a receive fails, every reply still owed is marked
+        abandoned on its shard, so a healthy shard's late answer is
+        discarded instead of desynchronising its pipe.
         """
         started = time.perf_counter()
-        sequences = [
-            handle.send_locked(command)
-            for handle, command in zip(handles, commands)
-        ]
-        replies = [
-            handle.receive_locked(sequence, self.shard_timeout)
-            for handle, sequence in zip(handles, sequences)
-        ]
+        pending: List[Tuple[_ShardHandle, int]] = []
+        replies: List[Any] = []
+        try:
+            for handle, command in zip(handles, commands):
+                pending.append((handle, handle.send_locked(command)))
+            for handle, sequence in pending:
+                replies.append(handle.receive_locked(sequence, self.shard_timeout))
+        except BaseException:
+            for handle, sequence in pending[len(replies):]:
+                handle.abandon(sequence)
+            raise
         record_stage("cluster.exchange", time.perf_counter() - started)
         return replies
-
-    def _drop_session(
-        self, handles: Sequence[_ShardHandle], session: str
-    ) -> None:
-        """Best-effort session cleanup on every still-live shard."""
-        for handle in handles:
-            if not handle.is_alive():
-                continue
-            try:
-                sequence = handle.send_locked(DropSession(session=session))
-                handle.receive_locked(sequence, min(self.shard_timeout, 5.0))
-            except ShardError:
-                continue
 
     # ------------------------------------------------------------------
     # Introspection helpers (tests, benchmarks)

@@ -8,8 +8,8 @@ sequence number it has already given up on (a bounded wait that expired),
 so one slow answer can never desynchronise the pipe for the commands that
 follow it.
 
-The protocol is deliberately minimal — the four verbs the ISSUE names plus
-lifecycle plumbing:
+The protocol is deliberately minimal — two work verbs plus lifecycle
+plumbing:
 
 =================  ====================================================
 command            shard action
@@ -17,27 +17,22 @@ command            shard action
 ``ExecuteRequest`` serve one full :class:`ServiceRequest` on the shard's
                    forked service replica (routing path)
 ``SampleShard``    sample the shard's contiguous chunk range of one RR
-                   batch (per-chunk spawned streams; the sampling path)
-``CoverInit``      build the local greedy state; report the initial
-                   coverage and global-shifted first-occurrence arrays
-``CoverRound``     fold one selected seed in; report updated coverage
-                   and the local covered-set count (marginal-gain report)
-``EstimateCover``  covered-set count of an arbitrary seed set
-``DropSession``    free one sampling session's arrays
+                   batch (per-chunk spawned streams) and return it as
+                   one packed ``(nodes, offsets)`` pair (fan-out path)
 ``ShardStatsCmd``  serving counters of the shard replica
 ``Ping``           liveness probe (pid + per-shard request counters)
 ``Shutdown``       reply, close the pipe, exit the process
 =================  ====================================================
 
-Large int64 reply arrays — the ``coverage`` / ``first_seen`` vectors of
-``CoverInit`` and ``CoverRound`` — may travel as
-:class:`~repro.backend.shm.ShmSlice` descriptors instead of pickled
+The ``SampleShard`` reply arrays may travel as one
+:class:`~repro.backend.shm.ShmSlice` descriptor instead of pickled
 ndarrays when the shared-memory data plane is on: the shard writes the
-array into its coordinator-owned arena and the frame carries only the
-(segment, offset, lengths) triple; the coordinator reconstructs a
-zero-copy view.  Frames are shape-agnostic — a reply field is "ndarray or
-descriptor" and the coordinator's resolver normalises it — so the pickle
-twin (``REPRO_SHM=0``) speaks the identical protocol with inline arrays.
+pair into its coordinator-owned arena and the frame carries only the
+(segment, offset, lengths) triple; the coordinator reconstructs zero-copy
+views and copies them out before its next command to that shard.  Frames
+are shape-agnostic — the reply is "array pair or descriptor" and the
+coordinator's resolver normalises it — so the pickle twin
+(``REPRO_SHM=0``) speaks the identical protocol with inline arrays.
 """
 
 from __future__ import annotations
@@ -53,10 +48,6 @@ from repro.service.requests import ServiceRequest
 __all__ = [
     "ChunkSpec",
     "ShmSlice",
-    "CoverInit",
-    "CoverRound",
-    "DropSession",
-    "EstimateCover",
     "ExecuteRequest",
     "Ping",
     "SampleShard",
@@ -100,46 +91,9 @@ class ExecuteRequest:
 class SampleShard:
     """Sample this shard's chunk range of one RR batch under *gamma*."""
 
-    session: str
     gamma: Any  # np.ndarray; Any keeps the dataclass eq/pickle simple
     chunks: Tuple[ChunkSpec, ...]
     kernel: str
-
-
-@dataclass(frozen=True)
-class CoverInit:
-    """Build greedy state for a sampled session.
-
-    ``base``/``total_members`` place the shard's member array inside the
-    global concatenation (see :class:`repro.cluster.merge.ShardCoverState`).
-    """
-
-    session: str
-    base: int
-    total_members: int
-
-
-@dataclass(frozen=True)
-class CoverRound:
-    """Fold the coordinator's chosen seed into the local cover state."""
-
-    session: str
-    seed_node: int
-
-
-@dataclass(frozen=True)
-class EstimateCover:
-    """Covered-set count of *seeds* over the session's local batch."""
-
-    session: str
-    seeds: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DropSession:
-    """Release a session's packed arrays and cover state."""
-
-    session: str
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 A :class:`ShardWorker` owns one partition of the cluster's state for the
 whole server lifetime — unlike a process-pool task, it keeps mutable index
-state (delayed sketch materialization, session-local packed RR batches)
-resident between requests:
+state (delayed sketch materialization) resident between requests:
 
 * a **full service replica**, inherited copy-on-write from the coordinator
   fork, with the fork hygiene of the process-pool executor (pooled compute
@@ -15,10 +14,10 @@ resident between requests:
   (suggestion, path exploration) are routed here by the coordinator, so
   only this shard ever materializes the influencer-index sketches its
   users touch;
-* a **chunk-range share** of each distributed sampling session: the shard
-  samples exactly the chunks the coordinator assigns (per-chunk spawned
-  RNG streams from :func:`repro.backend.base.rr_chunk_plan`), keeps the
-  packed batch resident, and answers greedy cover rounds over it.
+* a **chunk-range share** of each targeted fan-out: the shard samples
+  exactly the chunks the coordinator assigns (per-chunk spawned RNG
+  streams from :func:`repro.backend.base.rr_chunk_plan`) and returns the
+  packed batch; nothing outlives the command.
 
 The worker is single-threaded and command-at-a-time: the coordinator holds
 the shard's pipe lock for each exchange, so no locking is needed here.  A
@@ -30,17 +29,12 @@ from __future__ import annotations
 
 import os
 import signal
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.shm import ShmArena, ShmSlice
-from repro.cluster.merge import ShardCoverState
+from repro.backend.shm import ShmArena
 from repro.cluster.protocol import (
-    CoverInit,
-    CoverRound,
-    DropSession,
-    EstimateCover,
     ExecuteRequest,
     Ping,
     SampleShard,
@@ -49,7 +43,6 @@ from repro.cluster.protocol import (
     Shutdown,
 )
 from repro.obs.trace import RequestTrace, trace_context
-from repro.propagation.kernels import gather_csr_slices
 from repro.propagation.packed import PackedRRSets
 from repro.propagation.rrsets import sample_packed_rr_sets
 from repro.service.concurrent import _adopt_worker_service
@@ -78,29 +71,11 @@ class ShardWorker:
         self.num_shards = int(num_shards)
         self.node_range = (int(node_range[0]), int(node_range[1]))
         self.arena = arena
-        self._sessions: Dict[str, Dict[str, Any]] = {}
         # Routed requests are timed and folded into the replica's own
         # ServiceMetrics (the coordinator merges them fleet-wide).
         self._measured = MetricsMiddleware(service.metrics)
         self.commands_served = 0
         self.requests_executed = 0
-
-    def _ship(self, array: np.ndarray) -> Union[np.ndarray, ShmSlice]:
-        """Move a reply array into the arena; descriptor out, array back in.
-
-        The arena is rewound at the start of every cover command (see the
-        handlers), which is safe because the coordinator's protocol is
-        strictly one-command-in-flight per shard *and* it folds each
-        reply's views into fresh merge arrays before sending the next
-        command.  A full arena (``OSError``) degrades to the inline
-        pickle payload — identical bytes, just slower.
-        """
-        if self.arena is None:
-            return array
-        try:
-            return self.arena.write_arrays((array,))
-        except OSError:  # pragma: no cover — filesystem refusal
-            return array
 
     # ------------------------------------------------------------------
     # Command dispatch
@@ -114,15 +89,6 @@ class ShardWorker:
                 return self._handle_execute(command)
             if isinstance(command, SampleShard):
                 return self._handle_sample(command)
-            if isinstance(command, CoverInit):
-                return self._handle_cover_init(command)
-            if isinstance(command, CoverRound):
-                return self._handle_cover_round(command)
-            if isinstance(command, EstimateCover):
-                return self._handle_estimate(command)
-            if isinstance(command, DropSession):
-                self._sessions.pop(command.session, None)
-                return ShardReply(ok=True)
             if isinstance(command, ShardStatsCmd):
                 return self._handle_stats()
             if isinstance(command, Ping):
@@ -134,7 +100,6 @@ class ShardWorker:
                         "commands": self.commands_served,
                         "requests": self.requests_executed,
                         "node_range": list(self.node_range),
-                        "sessions": len(self._sessions),
                     },
                 )
             if isinstance(command, Shutdown):
@@ -176,11 +141,16 @@ class ShardWorker:
         return ShardReply(ok=True, value=response)
 
     def _handle_sample(self, command: SampleShard) -> ShardReply:
-        """Sample this shard's chunk range into a resident packed batch.
+        """Sample this shard's chunk range; reply with the packed batch.
 
         Each chunk draws from its own pre-spawned stream, exactly as a
         pooled backend's chunk worker would — the shard boundary adds
-        scheduling, never different randomness.
+        scheduling, never different randomness.  The concatenated
+        ``(nodes, offsets)`` pair travels as one
+        :class:`~repro.backend.shm.ShmSlice` in the shard's arena, rewound
+        first: the coordinator copies the previous reply out before it
+        sends another command.  Without an arena, or when the filesystem
+        refuses the write, the arrays travel inline.
         """
         backend = self.service.backend
         graph = backend.graph
@@ -195,73 +165,14 @@ class ShardWorker:
                     graph, probabilities, spec.count, rng, roots, command.kernel
                 )
             )
-        packed = PackedRRSets.from_chunks(graph.num_nodes, chunks)
-        self._sessions[command.session] = {"packed": packed}
-        return ShardReply(
-            ok=True,
-            value={
-                "num_sets": packed.num_sets,
-                "num_members": int(len(packed.nodes)),
-            },
-        )
-
-    def _session(self, session: str) -> Dict[str, Any]:
-        state = self._sessions.get(session)
-        if state is None:
-            raise KeyError(f"no sampling session {session!r} on this shard")
-        return state
-
-    def _handle_cover_init(self, command: CoverInit) -> ShardReply:
-        """Build the greedy state; report coverage + tie-break arrays."""
-        state = self._session(command.session)
-        cover = ShardCoverState(
-            state["packed"], command.base, command.total_members
-        )
-        state["cover"] = cover
+        payload = PackedRRSets.from_chunks(graph.num_nodes, chunks).chunk_payload()
         if self.arena is not None:
             self.arena.reset()
-        return ShardReply(
-            ok=True,
-            value={
-                "coverage": self._ship(cover.coverage),
-                "first_seen": self._ship(cover.first_seen_global),
-            },
-        )
-
-    def _handle_cover_round(self, command: CoverRound) -> ShardReply:
-        """One marginal-gain round: fold the chosen seed, report state."""
-        state = self._session(command.session)
-        cover: Optional[ShardCoverState] = state.get("cover")
-        if cover is None:
-            raise KeyError(
-                f"session {command.session!r} has no cover state (CoverInit "
-                f"not run)"
-            )
-        cover.apply_seed(int(command.seed_node))
-        if self.arena is not None:
-            self.arena.reset()
-        return ShardReply(
-            ok=True,
-            value={
-                "coverage": self._ship(cover.coverage),
-                "covered": cover.covered_count,
-            },
-        )
-
-    def _handle_estimate(self, command: EstimateCover) -> ShardReply:
-        """Covered-set count for an arbitrary seed set (no state change)."""
-        state = self._session(command.session)
-        packed: PackedRRSets = state["packed"]
-        seeds = np.unique(np.asarray(list(command.seeds), dtype=np.int64))
-        seeds = seeds[(seeds >= 0) & (seeds < packed.num_nodes)]
-        if seeds.size == 0 or packed.num_sets == 0:
-            return ShardReply(ok=True, value={"covered": 0})
-        member_offsets, member_sets = packed.membership()
-        indices = gather_csr_slices(
-            member_offsets[seeds], member_offsets[seeds + 1]
-        )
-        covered = int(np.unique(member_sets[indices]).size)
-        return ShardReply(ok=True, value={"covered": covered})
+            try:
+                return ShardReply(ok=True, value=self.arena.write_arrays(payload))
+            except OSError:  # pragma: no cover — filesystem refusal
+                pass
+        return ShardReply(ok=True, value=payload)
 
     def _handle_stats(self) -> ShardReply:
         """The replica's serving stats plus shard-local counters."""
@@ -269,7 +180,6 @@ class ShardWorker:
         stats["shard.id"] = float(self.shard_id)
         stats["shard.commands"] = float(self.commands_served)
         stats["shard.requests"] = float(self.requests_executed)
-        stats["shard.sessions"] = float(len(self._sessions))
         stats["shard.node_lo"] = float(self.node_range[0])
         stats["shard.node_hi"] = float(self.node_range[1])
         return ShardReply(ok=True, value=stats)

@@ -35,11 +35,10 @@ exact IC RR distribution but draws in its own order, so it need not match
 The module also hosts the greedy max-cover **cover-update** inner step
 (mark the chosen seed's uncovered RR sets covered, decrement the coverage
 counts of their members) used by
-:meth:`~repro.propagation.rrsets.RRSetCollection.greedy_max_cover` and the
-cluster's :class:`~repro.cluster.merge.ShardCoverState`.  The compiled and
-NumPy updates perform the same exact integer arithmetic, so argmax and
-tie-break sequences — and with them ``deterministic_form()`` bytes and
-cluster merges — are unchanged whichever one runs.
+:meth:`~repro.propagation.rrsets.RRSetCollection.greedy_max_cover`.  The
+compiled and NumPy updates perform the same exact integer arithmetic, so
+argmax and tie-break sequences — and with them ``deterministic_form()``
+bytes — are unchanged whichever one runs.
 
 Set ``REPRO_NATIVE=0`` to force the pure-Python path even when the
 extension is importable (CI uses this to prove the fallback passes the

@@ -129,6 +129,31 @@ class TestDegradedCluster:
             assert deterministic_form(recomputed) == reference
 
 
+    def test_shard_dying_mid_fan_out_leaves_its_peer_in_step(
+        self, make_service, running_cluster
+    ):
+        """Shard 0 dies right after its fan-out frame is sent: the request
+        falls back to routing with the single-process bytes, and shard 1's
+        owed reply is discarded rather than read as a protocol desync."""
+        request = TargetedInfluencersRequest("data mining", k=2, num_sets=1100)
+        reference = deterministic_form(make_service("threads").execute(request))
+        with running_cluster(make_service("threads"), shards=2) as cluster:
+            victim = cluster._handles[0]
+            send_locked = victim.send_locked
+
+            def send_then_die(command):
+                sequence = send_locked(command)
+                _kill_shard(cluster, 0)
+                return sequence
+
+            victim.send_locked = send_then_die
+            response = cluster.execute(request)
+            assert response.ok
+            assert deterministic_form(response) == reference
+            assert cluster._handles[1].is_alive()
+            assert cluster.health()["shards_alive"] == 1
+
+
 class TestDeadShardOverHTTP:
     def test_internal_error_is_a_parseable_500_and_healthz_degrades(
         self, make_service, running_cluster

@@ -4,9 +4,9 @@
 single-process ``OctopusService`` on any execution backend and a
 ``ClusterCoordinator`` with 1, 2 and 4 shards.  There is one sampling
 semantics — chunked, chunk streams keyed by chunk index — so every config,
-``serial`` included, takes the **distributed max-cover** path for targeted
-queries: shards sample chunk ranges and the coordinator's greedy loop
-merges marginal-gain reports.
+``serial`` included, takes the **fan-out** path for targeted queries:
+shards sample chunk ranges and the coordinator runs the ordinary greedy
+cover on the concatenated batch.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class TestNativeKernelShardDeterminism:
     sample their contiguous chunk ranges with the native kernel (compiled
     or fallback — forked replicas run whichever this checkout has) and
     1/2/4-shard output must equal the single-process service's bytes
-    through the distributed max-cover path."""
+    through the fan-out path."""
 
     @pytest.fixture(scope="class")
     def native_reference_forms(self, make_service):
@@ -134,6 +134,14 @@ class TestDistributedPathIsReallyDistributed:
             for shard in (0, 1):
                 assert stats[f"cluster.shard{shard}.requests"] == 0.0
                 assert stats[f"cluster.shard{shard}.commands"] > 0.0
+            # One fan-out is one command per shard: the counters move by
+            # two between the reads — the SampleShard and the
+            # ShardStatsCmd that reads them.
+            assert cluster.execute(FANOUT_REQUEST).ok
+            after = cluster.stats()
+            for shard in (0, 1):
+                key = f"cluster.shard{shard}.commands"
+                assert after[key] - stats[key] == 2.0
 
 
 class TestCoordinatorServingSemantics:

@@ -2,33 +2,31 @@
 
 :class:`~repro.cluster.worker.ShardWorker` is a plain object — the pipe
 loop is a thin shell around :meth:`~repro.cluster.worker.ShardWorker.handle`
-— so every command verb can be driven in-process: the sampling session
-lifecycle (sample → cover-init → cover rounds → estimate → drop), the
-introspection verbs (ping / stats), and the error replies that keep a
-worker alive through bad commands.
+— so every command verb can be driven in-process: the sampling verb and
+its reply on both transports, the introspection verbs (ping / stats), and
+the error replies that keep a worker alive through bad commands.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.backend import SerialBackend
 from repro.backend.base import DEFAULT_RR_CHUNK_SIZE, rr_chunk_plan
+from repro.backend.shm import ShmArena, ShmSession, ShmSlice
+from repro.cluster.coordinator import _ShardHandle, partition_contiguous
 from repro.cluster.protocol import (
     ChunkSpec,
-    CoverInit,
-    CoverRound,
-    DropSession,
-    EstimateCover,
+    ExecuteRequest,
     Ping,
     SampleShard,
     ShardStatsCmd,
 )
 from repro.cluster.worker import ShardWorker
-from repro.propagation.packed import PackedRRSets
-from repro.propagation.rrsets import RRSetCollection
 from repro.service import CompleteRequest
-from repro.cluster.protocol import ExecuteRequest
 
 
 @pytest.fixture
@@ -38,107 +36,69 @@ def worker(make_service):
     return ShardWorker(service, shard_id=0, num_shards=1, node_range=(0, num_nodes))
 
 
-def _sample_session(worker, session: str, num_sets: int = 200):
-    """Run one full sampling session; returns the equivalent local batch."""
-    backend = worker.service.backend
-    gamma = backend.derive_gamma("data mining")
-    plan = rr_chunk_plan(
-        num_sets, DEFAULT_RR_CHUNK_SIZE, np.random.SeedSequence(7), None
-    )
-    reply = worker.handle(
-        SampleShard(
-            session=session,
-            gamma=gamma,
-            chunks=tuple(
-                ChunkSpec(count=count, seed=child, roots=None)
-                for count, child, _roots in plan
-            ),
-            kernel=backend.config.rr_kernel,
-        )
-    )
-    assert reply.ok
-    assert reply.value["num_sets"] == num_sets
-    probabilities = backend.edge_weights.edge_probabilities(gamma)
-    chunks = []
-    for count, child, _roots in plan:
-        from repro.propagation.rrsets import sample_packed_rr_sets
-
-        chunks.append(
-            sample_packed_rr_sets(
+class TestSampleShardReply:
+    @pytest.mark.parametrize("transport", ["shm", "inline"])
+    def test_reply_is_the_serial_batch_of_the_chunk_range(
+        self, worker, transport
+    ):
+        """A resolved reply equals ``SerialBackend`` sampling of the same
+        chunk range — with the shard writing into a real arena or not."""
+        backend = worker.service.backend
+        session = ShmSession() if transport == "shm" else None
+        arena = ShmArena(session, "shard0") if session is not None else None
+        worker.arena = arena
+        try:
+            gamma = backend.derive_gamma("data mining")
+            num_sets, low, high = 1100, 1, 4
+            roots = [3, 1, 4, 1, 5, 9, 2, 6]
+            plan = rr_chunk_plan(
+                num_sets, DEFAULT_RR_CHUNK_SIZE, np.random.SeedSequence(7), roots
+            )
+            reply = worker.handle(
+                SampleShard(
+                    gamma=gamma,
+                    chunks=tuple(
+                        ChunkSpec(count=count, seed=child, roots=tuple(chunk_roots))
+                        for count, child, chunk_roots in plan[low:high]
+                    ),
+                    kernel=backend.config.rr_kernel,
+                )
+            )
+            assert reply.ok
+            assert isinstance(reply.value, ShmSlice) == (transport == "shm")
+            handle = _ShardHandle(0, None, None, (0, 0), arena)
+            nodes, offsets = handle.resolve(reply.value)
+            # The reference: the same chunk range (plan offset low·chunk
+            # size, same spawned streams) sampled by the serial backend.
+            sequence = np.random.SeedSequence(7)
+            sequence.spawn(low)  # the chunks before the range
+            start = low * DEFAULT_RR_CHUNK_SIZE
+            expected = SerialBackend().sample_rr_sets_packed(
                 backend.graph,
-                probabilities,
-                count,
-                np.random.default_rng(child),
-                None,
-                backend.config.rr_kernel,
+                backend.edge_weights.edge_probabilities(gamma),
+                sum(count for count, _, _ in plan[low:high]),
+                sequence,
+                roots=[roots[(start + i) % len(roots)] for i in range(len(roots))],
+                kernel=backend.config.rr_kernel,
             )
-        )
-    return RRSetCollection(
-        backend.graph, PackedRRSets.from_chunks(backend.graph.num_nodes, chunks)
-    )
+            assert np.array_equal(nodes, expected.nodes)
+            assert np.array_equal(offsets, expected.offsets)
+        finally:
+            if arena is not None:
+                arena.close()
+                session.close()
 
 
-class TestSamplingSessionVerbs:
-    def test_estimate_matches_the_serial_collection(self, worker):
-        collection = _sample_session(worker, "proto-1")
-        init = worker.handle(
-            CoverInit(
-                session="proto-1",
-                base=0,
-                total_members=int(len(collection.packed.nodes)),
-            )
-        )
-        assert init.ok
-        coverage = init.value["coverage"]
-        assert coverage.tolist() == collection.packed.coverage_counts().tolist()
-        for seeds in ((0,), (0, 5, 9), tuple(range(12))):
-            reply = worker.handle(EstimateCover(session="proto-1", seeds=seeds))
-            assert reply.ok
-            assert reply.value["covered"] == collection._covered_set_count(
-                list(seeds)
-            )
-
-    def test_cover_rounds_replay_the_serial_greedy(self, worker):
-        collection = _sample_session(worker, "proto-2")
-        expected_seeds, expected_spread = collection.greedy_max_cover(3)
-        init = worker.handle(
-            CoverInit(
-                session="proto-2",
-                base=0,
-                total_members=int(len(collection.packed.nodes)),
-            )
-        )
-        assert init.ok
-        coverage = init.value["coverage"]
-        first_seen = init.value["first_seen"]
-        seeds = []
-        covered = 0
-        for _ in range(3):
-            best_cover = int(coverage.max())
-            if best_cover <= 0:
-                break
-            candidates = np.flatnonzero(coverage == best_cover)
-            best = int(candidates[np.argmin(first_seen[candidates])])
-            seeds.append(best)
-            reply = worker.handle(CoverRound(session="proto-2", seed_node=best))
-            assert reply.ok
-            coverage = reply.value["coverage"]
-            covered = reply.value["covered"]
-        assert seeds == expected_seeds
-        num_nodes = worker.service.backend.graph.num_nodes
-        assert num_nodes * float(covered) / len(collection) == expected_spread
-
-    def test_drop_session_frees_the_state(self, worker):
-        _sample_session(worker, "proto-3", num_sets=50)
-        assert worker.handle(DropSession(session="proto-3")).ok
-        reply = worker.handle(EstimateCover(session="proto-3", seeds=(0,)))
-        assert not reply.ok
-        assert "proto-3" in reply.error
-
-    def test_estimate_without_a_session_is_an_error_reply(self, worker):
-        reply = worker.handle(EstimateCover(session="nope", seeds=(0,)))
-        assert not reply.ok
-        assert "nope" in reply.error
+@given(total=st.integers(0, 60), parts=st.integers(1, 9))
+def test_partition_contiguous_is_a_partition(total, parts):
+    bounds = partition_contiguous(total, parts)
+    assert len(bounds) == parts
+    assert bounds[0][0] == 0 and bounds[-1][1] == total
+    for (_, previous_high), (low, high) in zip(bounds, bounds[1:]):
+        assert previous_high == low
+        assert high >= low
+    sizes = [high - low for low, high in bounds]
+    assert max(sizes) - min(sizes) <= 1
 
 
 class TestIntrospectionVerbs:

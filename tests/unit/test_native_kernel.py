@@ -26,7 +26,7 @@ import pytest
 
 from repro.backend import SerialBackend
 from repro.backend.base import rr_chunk_plan
-from repro.cluster.merge import partition_contiguous
+from repro.cluster import partition_contiguous
 from repro.graph.digraph import SocialGraph
 from repro.propagation import native
 from repro.propagation.native import (

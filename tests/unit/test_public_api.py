@@ -31,7 +31,6 @@ PACKAGES = [
 MODULES = [
     "repro.cli",
     "repro.cluster.coordinator",
-    "repro.cluster.merge",
     "repro.cluster.protocol",
     "repro.cluster.worker",
     "repro.core.besteffort",
