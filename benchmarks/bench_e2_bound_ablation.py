@@ -1,13 +1,13 @@
-"""E2 — ablation of the three upper-bound estimators (§II-C).
+"""E2 — the upper-bound estimator behind the best-effort framework (§II-C).
 
-Measures, per estimator: (a) bound evaluation latency for a query, (b) the
-bound tightness (mean bound over a node sample, lower = tighter given all
-are sound), and (c) the pruning power when driving the best-effort loop
-(exact oracle evaluations needed).
+Measures (a) bound evaluation latency for a query over all nodes, with the
+bound tightness (mean bound, lower = tighter given it is sound) and index
+size, and (b) the pruning power when driving the best-effort loop (exact
+oracle evaluations needed out of all candidates).
 
-Expected shape: neighborhood is cheapest and loosest; precomputation is
-cheap online and tight for sharp queries; local is tightest but pays a
-per-candidate online cost (hence evaluated on a shortlist, not all nodes).
+Expected shape: precomputation reads one precomputed grid row per query,
+so (a) is an O(n) copy, and its bounds are tight enough for sharp queries
+that (b) evaluates a small prefix of the user ranking.
 """
 
 import numpy as np
@@ -19,34 +19,18 @@ K = 5
 
 
 @pytest.mark.benchmark(group="e2-bound-latency")
-@pytest.mark.parametrize("name", ["precomputation", "neighborhood"])
-def test_bounds_all_nodes_latency(benchmark, bound_estimators, gamma_dm, name):
-    estimator = bound_estimators[name]
-    bounds = benchmark(estimator.bounds, gamma_dm)
+def test_bounds_all_nodes_latency(benchmark, bound_estimator, gamma_dm):
+    bounds = benchmark(bound_estimator.bounds, gamma_dm)
     benchmark.extra_info["mean_bound"] = float(np.mean(bounds))
-    benchmark.extra_info["index_size_floats"] = estimator.index_size
-
-
-@pytest.mark.benchmark(group="e2-bound-latency")
-def test_local_bounds_shortlist_latency(benchmark, bound_estimators, gamma_dm):
-    estimator = bound_estimators["local"]
-    shortlist = list(range(0, estimator.graph.num_nodes, 8))
-    bounds = benchmark(estimator.bounds_for, shortlist, gamma_dm)
-    benchmark.extra_info["mean_bound"] = float(np.mean(bounds))
-    benchmark.extra_info["shortlist_size"] = len(shortlist)
+    benchmark.extra_info["index_size_floats"] = bound_estimator.index_size
 
 
 @pytest.mark.benchmark(group="e2-pruning-power")
-@pytest.mark.parametrize("name", ["precomputation", "neighborhood"])
 def test_best_effort_pruning_power(
-    benchmark, bench_weights, bound_estimators, gamma_dm, name
+    benchmark, bench_weights, bound_estimator, gamma_dm
 ):
     engine = BestEffortKeywordIM(
-        bench_weights,
-        bound_estimators[name],
-        oracle="mc",
-        num_samples=60,
-        seed=11,
+        bench_weights, bound_estimator, num_samples=60, seed=11
     )
     result = benchmark.pedantic(engine.query, (gamma_dm, K), rounds=2, iterations=1)
     benchmark.extra_info["exact_evaluations"] = result.statistics[

@@ -1,4 +1,4 @@
-"""Shared fixtures for the experiment benchmarks (see DESIGN.md §4).
+"""Shared fixtures for the experiment benchmarks (E1–E22, ``bench_e*.py``).
 
 Everything expensive is session-scoped.  The benchmark graph is kept at a
 few hundred nodes so the whole suite runs in minutes on a laptop while
@@ -32,11 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import (
-    LocalGraphBound,
-    NeighborhoodBound,
-    PrecomputationBound,
-)
+from repro.core.bounds import PrecomputationBound
 from repro.core.octopus import Octopus, OctopusConfig
 from repro.datasets.citation import CitationNetworkGenerator
 
@@ -94,23 +90,15 @@ def gamma_dm(bench_system):
 
 
 @pytest.fixture(scope="session")
-def bound_estimators(bench_weights):
-    """The three §II-C bound estimators, built once."""
-    return {
-        "precomputation": PrecomputationBound(bench_weights, grid=4),
-        "neighborhood": NeighborhoodBound(bench_weights),
-        "local": LocalGraphBound(bench_weights, radius=2),
-    }
+def bound_estimator(bench_weights):
+    """The §II-C bound estimator the system serves, built once."""
+    return PrecomputationBound(bench_weights)
 
 
 @pytest.fixture(scope="session")
-def best_effort_engine(bench_weights, bound_estimators):
+def best_effort_engine(bench_weights, bound_estimator):
     return BestEffortKeywordIM(
-        bench_weights,
-        bound_estimators["precomputation"],
-        oracle="mc",
-        num_samples=60,
-        seed=1003,
+        bench_weights, bound_estimator, num_samples=60, seed=1003
     )
 
 

@@ -1,7 +1,7 @@
 """OCTOPUS's primary contribution: online topic-aware influence analysis.
 
 * :mod:`repro.core.query` — keyword query / result types.
-* :mod:`repro.core.bounds` — the three upper-bound estimators of §II-C.
+* :mod:`repro.core.bounds` — §II-C's upper-bound estimator.
 * :mod:`repro.core.besteffort` — the best-effort keyword-IM framework.
 * :mod:`repro.core.topic_samples` — the topic-sample-based algorithm.
 * :mod:`repro.core.influencer_index` — §II-D's sampled influencer index.
@@ -12,8 +12,6 @@
 
 from repro.core.besteffort import BestEffortKeywordIM
 from repro.core.bounds import (
-    LocalGraphBound,
-    NeighborhoodBound,
     PrecomputationBound,
     UpperBoundEstimator,
     walk_sum_bounds,
@@ -33,8 +31,6 @@ __all__ = [
     "BestEffortKeywordIM",
     "UpperBoundEstimator",
     "PrecomputationBound",
-    "LocalGraphBound",
-    "NeighborhoodBound",
     "walk_sum_bounds",
     "InfluencerIndex",
     "Octopus",

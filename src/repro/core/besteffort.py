@@ -6,12 +6,24 @@ influence spread for the users with larger upper bounds, so as to prune
 insignificant users."
 
 The framework is a CELF loop whose queue is *initialised with upper bounds*
-instead of exact singleton spreads: a candidate is only handed to the exact
-spread oracle when its bound (or a previously computed exact gain) floats to
-the top of the queue.  With a sound bound estimator the selected seeds match
-what lazy greedy over the oracle would select, while evaluating only a small
-prefix of the user ranking — the pruning-power statistic benchmark E2
-reports.
+instead of exact singleton spreads: a candidate is only handed to the spread
+oracle when its bound (or a previously computed gain) floats to the top of
+the queue.  The oracle is
+:class:`~repro.propagation.estimators.MonteCarloSpreadEstimator` on
+``num_samples`` fixed live-edge worlds per query, and the search evaluates
+only a small prefix of the user ranking — the pruning-power statistic
+benchmark E2 reports.
+
+What the pruning guarantees.  The bound estimator is sound for the true
+spread σ, not for the oracle's sampled estimate σ̂.  A candidate whose σ̂
+sampling noise lifts above its own bound can be passed over for a rival
+that unpruned CELF over the same σ̂ would rank below it, so the selected
+seeds are close to, but not always those of, lazy greedy over the oracle.
+On a 150-node preferential-attachment graph (seed 7, weighted-cascade
+weights seed 8, engine seed 0) with the pure-topic query γ = (1, 0, 0, 0),
+the pruned search reaches σ̂ = 3.52 / 10.22 / 16.38 / 30.01 at
+k = 1 / 3 / 5 / 10 where unpruned CELF reaches 3.53 / 10.36 / 16.52 / 30.15;
+four other queries on the same graph give identical spreads.
 
 Optionally a *warm start* (e.g. a topic-sample seed set, §II-C's
 topic-sample-based algorithm) supplies a feasible lower bound used to drop
@@ -23,18 +35,12 @@ pruning" device of [3].
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.graph.digraph import SocialGraph
 from repro.im.base import IMResult
-from repro.propagation.estimators import (
-    MonteCarloSpreadEstimator,
-    RRSetSpreadEstimator,
-    SpreadEstimator,
-)
-from repro.propagation.kernels import DEFAULT_RR_KERNEL
+from repro.propagation.estimators import MonteCarloSpreadEstimator
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.heap import LazyGreedyQueue
 from repro.utils.rng import SeedLike
@@ -46,8 +52,6 @@ from repro.utils.validation import (
 )
 
 __all__ = ["BestEffortKeywordIM"]
-
-OracleFactory = Callable[[SocialGraph, np.ndarray], SpreadEstimator]
 
 
 def _base_entropy(seed: SeedLike) -> int:
@@ -77,40 +81,8 @@ def _query_rng(entropy: int, probabilities: np.ndarray) -> np.random.Generator:
     )
 
 
-def _monte_carlo_factory(num_samples: int, seed: SeedLike) -> OracleFactory:
-    entropy = _base_entropy(seed)
-
-    def factory(graph: SocialGraph, probabilities: np.ndarray) -> SpreadEstimator:
-        return MonteCarloSpreadEstimator(
-            graph,
-            probabilities,
-            num_samples=num_samples,
-            seed=_query_rng(entropy, probabilities),
-        )
-
-    return factory
-
-
-def _rr_set_factory(
-    num_sets: int, seed: SeedLike, backend=None, kernel: str = DEFAULT_RR_KERNEL
-) -> OracleFactory:
-    entropy = _base_entropy(seed)
-
-    def factory(graph: SocialGraph, probabilities: np.ndarray) -> SpreadEstimator:
-        return RRSetSpreadEstimator(
-            graph,
-            probabilities,
-            num_sets=num_sets,
-            seed=_query_rng(entropy, probabilities),
-            backend=backend,
-            kernel=kernel,
-        )
-
-    return factory
-
-
 class BestEffortKeywordIM:
-    """Online keyword IM: bound-driven lazy greedy with a pluggable oracle.
+    """Online keyword IM: bound-driven lazy greedy over a Monte-Carlo oracle.
 
     Parameters
     ----------
@@ -118,18 +90,11 @@ class BestEffortKeywordIM:
         The topic-aware edge probabilities.
     bound_estimator:
         Any :class:`~repro.core.bounds.UpperBoundEstimator`.
-    oracle:
-        ``"mc"`` (Monte-Carlo on fixed live-edge worlds per query,
-        default), ``"ris"`` (fixed RR-set collection per query) — both
-        deterministic within the query — or a custom factory
-        ``(graph, edge_probabilities) -> SpreadEstimator``.
-    num_samples / num_sets:
-        Budget of the built-in oracles.
-    rr_kernel:
-        Sampling kernel of the ``"ris"`` oracle (vectorized / native).
-    candidate_limit:
-        Evaluate at most this many distinct candidates per query (best-effort
-        degradation for hard latency budgets); ``None`` = unlimited.
+    num_samples:
+        Live-edge worlds per query of the Monte-Carlo oracle.
+    seed:
+        Engine seed; each query's worlds are keyed by it and by the query's
+        edge probabilities, so the oracle is deterministic within a query.
     """
 
     def __init__(
@@ -137,36 +102,15 @@ class BestEffortKeywordIM:
         edge_weights: TopicEdgeWeights,
         bound_estimator,
         *,
-        oracle: "str | OracleFactory" = "mc",
         num_samples: int = 100,
-        num_sets: int = 2000,
-        candidate_limit: Optional[int] = None,
         seed: SeedLike = None,
-        backend=None,
-        rr_kernel: str = DEFAULT_RR_KERNEL,
     ) -> None:
         check_positive(num_samples, "num_samples")
-        check_positive(num_sets, "num_sets")
-        if candidate_limit is not None:
-            check_positive(candidate_limit, "candidate_limit")
         self.edge_weights = edge_weights
         self.graph = edge_weights.graph
         self.bound_estimator = bound_estimator
-        self.candidate_limit = candidate_limit
-        if oracle == "mc":
-            self._oracle_factory: OracleFactory = _monte_carlo_factory(
-                num_samples, seed
-            )
-        elif oracle == "ris":
-            self._oracle_factory = _rr_set_factory(
-                num_sets, seed, backend, rr_kernel
-            )
-        elif callable(oracle):
-            self._oracle_factory = oracle
-        else:
-            raise ValidationError(
-                f"oracle must be 'mc', 'ris' or a factory, got {oracle!r}"
-            )
+        self.num_samples = num_samples
+        self._entropy = _base_entropy(seed)
 
     # ------------------------------------------------------------------
 
@@ -200,7 +144,12 @@ class BestEffortKeywordIM:
         check_positive(k, "k")
         check_in_range(prune_ratio, 0.0, 1.0, "prune_ratio")
         probabilities = self.edge_weights.edge_probabilities(gamma)
-        oracle = self._oracle_factory(self.graph, probabilities)
+        oracle = MonteCarloSpreadEstimator(
+            self.graph,
+            probabilities,
+            num_samples=self.num_samples,
+            seed=_query_rng(self._entropy, probabilities),
+        )
 
         bounds = np.asarray(self.bound_estimator.bounds(gamma), dtype=np.float64)
         if bounds.shape != (self.graph.num_nodes,):
@@ -212,13 +161,12 @@ class BestEffortKeywordIM:
         pruned_by_warm_start = 0
         threshold = -np.inf
         warm_spread = 0.0
-        if warm_start is not None and len(warm_start) > 0:
+        has_warm_start = warm_start is not None and len(warm_start) > 0
+        if has_warm_start:
             warm_spread = oracle.spread(list(warm_start))
             threshold = prune_ratio * warm_spread / k
 
         order = np.argsort(-bounds, kind="stable")
-        if self.candidate_limit is not None:
-            order = order[: self.candidate_limit]
 
         queue: LazyGreedyQueue = LazyGreedyQueue()
         for node in order:
@@ -233,7 +181,7 @@ class BestEffortKeywordIM:
         seeds: List[int] = []
         gains: List[float] = []
         current_spread = 0.0
-        exact_evaluations = 1 if warm_start else 0
+        exact_evaluations = 1 if has_warm_start else 0
         while len(seeds) < k and len(queue) > 0:
             node, gain, fresh = queue.pop_best()
             if fresh:

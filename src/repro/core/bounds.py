@@ -1,20 +1,12 @@
-"""Upper-bound estimators for topic-aware influence spread (§II-C).
+"""The upper-bound estimator for topic-aware influence spread (§II-C).
 
 The best-effort framework "estimates an upper bound of the influence spread
 for each user and then preferentially computes the exact influence spread for
-the users with larger upper bounds".  Following [3] we provide three
-estimators with different precomputation/query/tightness trade-offs
-(benchmark E2 ablates them):
+the users with larger upper bounds".  :class:`PrecomputationBound` is [3]'s
+precomputation-based estimator: per-dominant-topic interpolation grids of
+walk-sum bounds, an O(n) copy per query.
 
-* :class:`PrecomputationBound` — per-dominant-topic interpolation grids of
-  walk-sum bounds, O(1)-ish per query;
-* :class:`LocalGraphBound` — walk sums computed online on the user's local
-  ball under the *query's* edge probabilities, with an envelope correction
-  at the boundary;
-* :class:`NeighborhoodBound` — one hop of query-dependence: the user's
-  out-edges under γ times precomputed envelope walk sums of the neighbours.
-
-Soundness.  All three rest on the *walk-sum bound*: under IC the probability
+Soundness.  It rests on the *walk-sum bound*: under IC the probability
 that a node ``v`` becomes activated is at most the sum over all walks
 ``u → v`` of the product of edge probabilities (union bound over the walk
 prefix trees), so
@@ -32,7 +24,7 @@ envelope at ``λ=0``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -40,7 +32,6 @@ from repro.graph.digraph import SocialGraph
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.validation import (
     ValidationError,
-    check_node_id,
     check_positive,
     check_simplex,
 )
@@ -49,8 +40,6 @@ __all__ = [
     "walk_sum_bounds",
     "UpperBoundEstimator",
     "PrecomputationBound",
-    "LocalGraphBound",
-    "NeighborhoodBound",
 ]
 
 
@@ -118,7 +107,7 @@ class PrecomputationBound:
     def __init__(
         self,
         edge_weights: TopicEdgeWeights,
-        grid: int = 5,
+        grid: int = 4,
         *,
         max_iterations: int = 100,
     ) -> None:
@@ -159,160 +148,3 @@ class PrecomputationBound:
         """Number of floats stored."""
         return int(self._tables.size)
 
-
-class NeighborhoodBound:
-    """Neighborhood-based estimator: one query-dependent hop.
-
-    Every walk from ``u`` either stops at ``u`` or crosses one of ``u``'s
-    out-edges first; bounding the continuation by the neighbour's envelope
-    walk sum gives
-
-        σ_γ(u) ≤ 1 + Σ_{e=(u,w)} p_e(γ) · C̄(w)
-
-    with ``C̄`` precomputed once under the topic envelope.  Cheapest index
-    (O(n)), loosest bound beyond the first hop.
-    """
-
-    def __init__(
-        self, edge_weights: TopicEdgeWeights, *, max_iterations: int = 100
-    ) -> None:
-        self.edge_weights = edge_weights
-        self.graph = edge_weights.graph
-        envelope = edge_weights.max_over_topics()
-        self._envelope_sums = walk_sum_bounds(
-            self.graph, envelope, max_iterations=max_iterations
-        )
-
-    def bounds(self, gamma: np.ndarray) -> np.ndarray:
-        """Per-node bound via the first-hop decomposition."""
-        probabilities = self.edge_weights.edge_probabilities(gamma)
-        graph = self.graph
-        sources = graph.edge_sources()
-        contribution = probabilities * self._envelope_sums[graph.out_targets]
-        result = np.ones(graph.num_nodes, dtype=np.float64)
-        np.add.at(result, sources, contribution)
-        return np.minimum(result, float(graph.num_nodes))
-
-    @property
-    def index_size(self) -> int:
-        """Number of floats stored."""
-        return int(self._envelope_sums.size)
-
-
-class LocalGraphBound:
-    """Local-graph-based estimator: exact-ish walk sums on a local ball.
-
-    Offline, stores the radius-*r* out-ball of every node plus envelope walk
-    sums.  Online, for the candidate nodes requested, iterates the walk-sum
-    recursion *restricted to the ball* under the true query probabilities
-    ``p(γ)``, and closes the walks leaving the ball with the boundary nodes'
-    envelope walk sums.  Sound: every walk from ``u`` either stays in the
-    ball (counted exactly) or exits through a boundary crossing (prefix
-    exact, suffix bounded by the envelope).
-
-    Tightest of the three near the query's topic, most expensive per query —
-    hence used via :meth:`bounds_for` on a shortlist rather than all nodes.
-    """
-
-    def __init__(
-        self,
-        edge_weights: TopicEdgeWeights,
-        radius: int = 2,
-        *,
-        max_iterations: int = 100,
-    ) -> None:
-        check_positive(radius, "radius")
-        self.edge_weights = edge_weights
-        self.graph = edge_weights.graph
-        self.radius = radius
-        envelope = edge_weights.max_over_topics()
-        self._envelope_sums = walk_sum_bounds(
-            self.graph, envelope, max_iterations=max_iterations
-        )
-        self._balls: List[np.ndarray] = []
-        for node in range(self.graph.num_nodes):
-            self._balls.append(self._collect_ball(node))
-
-    def _collect_ball(self, node: int) -> np.ndarray:
-        members = {node}
-        frontier = [node]
-        for _ in range(self.radius):
-            next_frontier = []
-            for current in frontier:
-                for neighbor in self.graph.out_neighbors(current):
-                    neighbor = int(neighbor)
-                    if neighbor not in members:
-                        members.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return np.asarray(sorted(members), dtype=np.int64)
-
-    def bound_for(self, node: int, gamma: np.ndarray) -> float:
-        """Bound for one *node* under γ (ball walk-sum + boundary closure)."""
-        check_node_id(node, self.graph.num_nodes, "node")
-        probabilities = self.edge_weights.edge_probabilities(gamma)
-        return self._bound_with_probabilities(node, probabilities)
-
-    def bounds_for(self, nodes: Sequence[int], gamma: np.ndarray) -> np.ndarray:
-        """Bounds for a shortlist of *nodes* (shares the γ collapse)."""
-        probabilities = self.edge_weights.edge_probabilities(gamma)
-        return np.asarray(
-            [self._bound_with_probabilities(int(n), probabilities) for n in nodes]
-        )
-
-    def bounds(self, gamma: np.ndarray) -> np.ndarray:
-        """Bounds for all nodes (expensive; prefer :meth:`bounds_for`)."""
-        probabilities = self.edge_weights.edge_probabilities(gamma)
-        return np.asarray(
-            [
-                self._bound_with_probabilities(node, probabilities)
-                for node in range(self.graph.num_nodes)
-            ]
-        )
-
-    def _bound_with_probabilities(
-        self, node: int, probabilities: np.ndarray
-    ) -> float:
-        ball = self._balls[node]
-        position = {int(member): index for index, member in enumerate(ball)}
-        size = len(ball)
-        graph = self.graph
-        cap = float(graph.num_nodes)
-        # Walk mass currently at each ball node (walk-prefix sums).
-        mass = np.zeros(size, dtype=np.float64)
-        mass[position[node]] = 1.0
-        total = 1.0  # the empty walk (node itself)
-        escaped = 0.0
-        # Iterate prefix extension; radius+1 extra rounds then close with a
-        # geometric cap via the envelope sums of in-ball nodes as well.
-        for _ in range(self.radius):
-            next_mass = np.zeros(size, dtype=np.float64)
-            for index, member in enumerate(ball):
-                if mass[index] <= 0.0:
-                    continue
-                start, stop = graph.out_offsets[member], graph.out_offsets[member + 1]
-                for edge_id in range(start, stop):
-                    target = int(graph.out_targets[edge_id])
-                    weight = mass[index] * float(probabilities[edge_id])
-                    if weight <= 0.0:
-                        continue
-                    if target in position:
-                        next_mass[position[target]] += weight
-                        total += weight
-                    else:
-                        escaped += weight * float(self._envelope_sums[target])
-            mass = next_mass
-        # Walks still inside the ball after `radius` steps may continue
-        # arbitrarily: close them with the envelope walk sums (which count
-        # the node itself, already included in `total`, hence the −1).
-        residual = float(
-            (mass * np.maximum(self._envelope_sums[ball] - 1.0, 0.0)).sum()
-        )
-        return float(min(cap, total + escaped + residual))
-
-    @property
-    def index_size(self) -> int:
-        """Number of stored ball entries plus envelope sums."""
-        return int(sum(len(ball) for ball in self._balls)) + int(
-            self._envelope_sums.size
-        )

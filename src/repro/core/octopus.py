@@ -28,11 +28,7 @@ import numpy as np
 
 from repro.backend import ExecutionBackend, resolve_backend
 from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import (
-    LocalGraphBound,
-    NeighborhoodBound,
-    PrecomputationBound,
-)
+from repro.core.bounds import PrecomputationBound
 from repro.core.influencer_index import InfluencerIndex
 from repro.core.paths import InfluencePathExplorer, PathTree
 from repro.core.query import (
@@ -60,12 +56,7 @@ __all__ = ["OctopusConfig", "Octopus"]
 class OctopusConfig:
     """Tuning knobs of the online engine (defaults suit ~10³-node graphs)."""
 
-    bound_estimator: str = "precomputation"
-    precomputation_grid: int = 4
-    local_radius: int = 2
-    oracle: str = "mc"
     oracle_samples: int = 100
-    oracle_rr_sets: int = 2000
     use_topic_samples: bool = True
     num_topic_samples: int = 16
     topic_sample_max_k: int = 20
@@ -85,11 +76,6 @@ class OctopusConfig:
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
-        if self.bound_estimator not in ("precomputation", "neighborhood", "local"):
-            raise ValidationError(
-                "bound_estimator must be 'precomputation', 'neighborhood' or "
-                f"'local', got {self.bound_estimator!r}"
-            )
         if self.execution_backend not in ("serial", "threads", "processes"):
             raise ValidationError(
                 "execution_backend must be 'serial', 'threads' or "
@@ -99,10 +85,7 @@ class OctopusConfig:
         if self.workers is not None:
             check_positive(self.workers, "workers")
         for name in (
-            "precomputation_grid",
-            "local_radius",
             "oracle_samples",
-            "oracle_rr_sets",
             "num_topic_samples",
             "topic_sample_max_k",
             "topic_sample_rr_sets",
@@ -205,26 +188,13 @@ class Octopus:
         )
         rngs = spawn_generators(config.seed, 4)
         with self._stopwatch.phase("build.bounds"):
-            if config.bound_estimator == "precomputation":
-                self.bound_estimator = PrecomputationBound(
-                    self.edge_weights, grid=config.precomputation_grid
-                )
-            elif config.bound_estimator == "neighborhood":
-                self.bound_estimator = NeighborhoodBound(self.edge_weights)
-            else:
-                self.bound_estimator = LocalGraphBound(
-                    self.edge_weights, radius=config.local_radius
-                )
+            self.bound_estimator = PrecomputationBound(self.edge_weights)
         with self._stopwatch.phase("build.best_effort"):
             self.best_effort = BestEffortKeywordIM(
                 self.edge_weights,
                 self.bound_estimator,
-                oracle=config.oracle,
                 num_samples=config.oracle_samples,
-                num_sets=config.oracle_rr_sets,
                 seed=rngs[0],
-                backend=self.execution,
-                rr_kernel=config.rr_kernel,
             )
         self.topic_sample_index: Optional[TopicSampleIndex] = None
         if config.use_topic_samples:
@@ -503,8 +473,7 @@ class Octopus:
             stats[f"influencer_index.{key}"] = value
         if self.topic_sample_index is not None:
             stats["topic_samples.count"] = float(len(self.topic_sample_index))
-        if hasattr(self.bound_estimator, "index_size"):
-            stats["bounds.index_size"] = float(self.bound_estimator.index_size)
+        stats["bounds.index_size"] = float(self.bound_estimator.index_size)
         stats["execution.backend"] = self.execution.name
         stats["execution.workers"] = float(self.execution.workers)
         stats["execution.rr_kernel"] = self.config.rr_kernel

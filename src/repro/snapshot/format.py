@@ -298,7 +298,14 @@ def _read_arrays(
 #: ``OctopusConfig`` fields retired without a format bump, mapped to the one
 #: value an older snapshot may still carry for them: the retired default,
 #: which is what every build does now, so the key is dropped on load.
-_RETIRED_CONFIG_FIELDS = {"sketch_expansion": "frontier"}
+_RETIRED_CONFIG_FIELDS = {
+    "sketch_expansion": "frontier",
+    "bound_estimator": "precomputation",
+    "precomputation_grid": 4,
+    "local_radius": 2,
+    "oracle": "mc",
+    "oracle_rr_sets": 2000,
+}
 
 
 def _restore_config(payload: Dict[str, object]):

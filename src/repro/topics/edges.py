@@ -77,7 +77,7 @@ class TopicEdgeWeights:
 
         No topic distribution can make an edge more probable than this, so
         it powers permanent pruning in the influencer index and the
-        neighborhood bounds.  Cached after the first call.
+        precomputed spread bounds.  Cached after the first call.
         """
         if self._max_over_topics is None:
             self._max_over_topics = self.weights.max(axis=1)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import walk_sum_bounds
+from repro.core.bounds import PrecomputationBound, walk_sum_bounds
 from repro.graph.digraph import SocialGraph
 from repro.im.mia import MIAModel
 from repro.propagation.worlds import WorldEnsemble
+from repro.topics.edges import TopicEdgeWeights
 
 
 @st.composite
@@ -76,6 +77,26 @@ def exact_spread(graph: SocialGraph, probabilities: np.ndarray, seeds) -> float:
 def test_walk_sum_upper_bounds_exact_spread(case):
     graph, probabilities = case
     bounds = walk_sum_bounds(graph, probabilities)
+    for node in range(graph.num_nodes):
+        truth = exact_spread(graph, probabilities, [node])
+        assert bounds[node] >= truth - 1e-9
+
+
+@given(
+    weighted_graphs(),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_precomputation_bound_upper_bounds_exact_spread(case, num_topics, seed):
+    """The served bound holds for every node under any topic mixture γ."""
+    graph, _probabilities = case
+    rng = np.random.default_rng(seed)
+    topic_weights = rng.random((graph.num_edges, num_topics))
+    gamma = rng.dirichlet(np.ones(num_topics))
+    weights = TopicEdgeWeights(graph, topic_weights)
+    bounds = PrecomputationBound(weights).bounds(gamma)
+    probabilities = weights.edge_probabilities(gamma)
     for node in range(graph.num_nodes):
         truth = exact_spread(graph, probabilities, [node])
         assert bounds[node] >= truth - 1e-9

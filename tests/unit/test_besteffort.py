@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import NeighborhoodBound, PrecomputationBound
+from repro.core.bounds import PrecomputationBound
 from repro.im.ris import ris_im
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.validation import ValidationError
@@ -26,7 +26,7 @@ GAMMA = np.array([0.6, 0.2, 0.1, 0.1])
 class TestQuery:
     def test_returns_k_seeds(self, setup):
         _graph, weights, bound = setup
-        engine = BestEffortKeywordIM(weights, bound, oracle="ris", seed=0)
+        engine = BestEffortKeywordIM(weights, bound, seed=0)
         result = engine.query(GAMMA, 5)
         assert len(result.seeds) == 5
         assert len(set(result.seeds)) == 5
@@ -34,7 +34,7 @@ class TestQuery:
 
     def test_prunes_most_candidates(self, setup):
         graph, weights, bound = setup
-        engine = BestEffortKeywordIM(weights, bound, oracle="ris", seed=0)
+        engine = BestEffortKeywordIM(weights, bound, seed=0)
         result = engine.query(GAMMA, 5)
         assert result.statistics["exact_evaluations"] < graph.num_nodes
 
@@ -42,9 +42,7 @@ class TestQuery:
         graph, weights, bound = setup
         probabilities = weights.edge_probabilities(GAMMA)
         direct = ris_im(graph, probabilities, 5, num_sets=4000, seed=1)
-        engine = BestEffortKeywordIM(
-            weights, bound, oracle="ris", num_sets=4000, seed=2
-        )
+        engine = BestEffortKeywordIM(weights, bound, seed=2)
         result = engine.query(GAMMA, 5)
         # Compare both seed sets on an independent estimator.
         from repro.propagation.estimators import MonteCarloSpreadEstimator
@@ -56,70 +54,29 @@ class TestQuery:
 
     def test_warm_start_prunes_and_preserves_quality(self, setup):
         graph, weights, bound = setup
-        engine = BestEffortKeywordIM(
-            weights, bound, oracle="ris", num_sets=3000, seed=4
-        )
+        engine = BestEffortKeywordIM(weights, bound, seed=4)
         baseline = engine.query(GAMMA, 5)
         warm = engine.query(GAMMA, 5, warm_start=baseline.seeds)
         assert warm.statistics["pruned_by_warm_start"] >= 0
         assert warm.spread >= 0.8 * baseline.spread
 
-    def test_candidate_limit(self, setup):
-        _graph, weights, bound = setup
-        engine = BestEffortKeywordIM(
-            weights, bound, oracle="ris", candidate_limit=20, seed=5
-        )
-        result = engine.query(GAMMA, 3)
-        assert result.statistics["candidates_considered"] == 20.0
-
     def test_mc_oracle_works(self, setup):
         _graph, weights, bound = setup
-        engine = BestEffortKeywordIM(
-            weights, bound, oracle="mc", num_samples=50, seed=6
-        )
+        engine = BestEffortKeywordIM(weights, bound, num_samples=50, seed=6)
         result = engine.query(GAMMA, 2)
         assert len(result.seeds) == 2
 
-    def test_custom_oracle_factory(self, setup):
-        graph, weights, bound = setup
-        calls = []
-
-        def factory(graph_arg, probabilities):
-            from repro.propagation.estimators import RRSetSpreadEstimator
-
-            calls.append(1)
-            return RRSetSpreadEstimator(
-                graph_arg, probabilities, num_sets=300, seed=0
-            )
-
-        engine = BestEffortKeywordIM(weights, bound, oracle=factory)
-        engine.query(GAMMA, 2)
-        assert calls == [1]
-
-    def test_invalid_oracle_name(self, setup):
-        _graph, weights, bound = setup
-        with pytest.raises(ValidationError, match="oracle"):
-            BestEffortKeywordIM(weights, bound, oracle="bogus")
-
     def test_invalid_gamma(self, setup):
         _graph, weights, bound = setup
-        engine = BestEffortKeywordIM(weights, bound, oracle="ris", seed=0)
+        engine = BestEffortKeywordIM(weights, bound, seed=0)
         with pytest.raises(ValidationError):
             engine.query(np.array([0.5, 0.5, 0.5, 0.5]), 3)
 
     def test_invalid_k(self, setup):
         _graph, weights, bound = setup
-        engine = BestEffortKeywordIM(weights, bound, oracle="ris", seed=0)
+        engine = BestEffortKeywordIM(weights, bound, seed=0)
         with pytest.raises(ValidationError):
             engine.query(GAMMA, 0)
-
-    def test_works_with_neighborhood_bound(self, setup):
-        _graph, weights, _bound = setup
-        engine = BestEffortKeywordIM(
-            weights, NeighborhoodBound(weights), oracle="ris", seed=7
-        )
-        result = engine.query(GAMMA, 3)
-        assert len(result.seeds) == 3
 
     def test_bad_bound_shape_detected(self, setup):
         _graph, weights, _bound = setup
@@ -128,6 +85,6 @@ class TestQuery:
             def bounds(self, gamma):
                 return np.ones(3)
 
-        engine = BestEffortKeywordIM(weights, BadBound(), oracle="ris", seed=0)
+        engine = BestEffortKeywordIM(weights, BadBound(), seed=0)
         with pytest.raises(ValidationError, match="shape"):
             engine.query(GAMMA, 2)

@@ -1,14 +1,9 @@
-"""Unit tests for repro.core.bounds (the three upper-bound estimators)."""
+"""Unit tests for repro.core.bounds (walk sums and the precomputation bound)."""
 
 import numpy as np
 import pytest
 
-from repro.core.bounds import (
-    LocalGraphBound,
-    NeighborhoodBound,
-    PrecomputationBound,
-    walk_sum_bounds,
-)
+from repro.core.bounds import PrecomputationBound, walk_sum_bounds
 from repro.propagation.ic import IndependentCascade
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.validation import ValidationError
@@ -75,7 +70,7 @@ class TestWalkSumBounds:
 
 
 class TestSoundness:
-    """Every estimator must upper-bound the Monte-Carlo spread."""
+    """The estimator must upper-bound the Monte-Carlo spread."""
 
     @pytest.mark.parametrize("gamma_index", range(len(GAMMAS)))
     def test_precomputation_sound(self, weights_and_truth, gamma_index):
@@ -92,47 +87,8 @@ class TestSoundness:
                 f"{spread:.2f} for node {node}"
             )
 
-    @pytest.mark.parametrize("gamma_index", range(len(GAMMAS)))
-    def test_neighborhood_sound(self, weights_and_truth, gamma_index):
-        graph, weights = weights_and_truth
-        gamma = GAMMAS[gamma_index]
-        estimator = NeighborhoodBound(weights)
-        bounds = estimator.bounds(gamma)
-        probabilities = weights.edge_probabilities(gamma)
-        sample_nodes = list(range(0, graph.num_nodes, 17))
-        exact = _exact_singleton_spreads(graph, probabilities, sample_nodes)
-        for node, spread in exact.items():
-            assert bounds[node] >= spread - 0.35 * spread**0.5 - 0.5
-
-    @pytest.mark.parametrize("gamma_index", range(len(GAMMAS)))
-    def test_local_sound(self, weights_and_truth, gamma_index):
-        graph, weights = weights_and_truth
-        gamma = GAMMAS[gamma_index]
-        estimator = LocalGraphBound(weights, radius=2)
-        probabilities = weights.edge_probabilities(gamma)
-        sample_nodes = list(range(0, graph.num_nodes, 17))
-        exact = _exact_singleton_spreads(graph, probabilities, sample_nodes)
-        bounds = estimator.bounds_for(sample_nodes, gamma)
-        for bound, (node, spread) in zip(bounds, exact.items()):
-            assert bound >= spread - 0.35 * spread**0.5 - 0.5
-
 
 class TestTightnessOrdering:
-    def test_local_not_looser_than_neighborhood_on_average(
-        self, weights_and_truth
-    ):
-        """The local bound evaluates the query's true probabilities inside
-        the ball, so on topical queries it should (on average) be tighter
-        than the envelope-heavy neighborhood bound."""
-        _graph, weights = weights_and_truth
-        gamma = np.array([0.9, 0.1, 0.0, 0.0])
-        local = LocalGraphBound(weights, radius=2)
-        neighborhood = NeighborhoodBound(weights)
-        nodes = list(range(0, weights.graph.num_nodes, 11))
-        local_bounds = local.bounds_for(nodes, gamma)
-        neighborhood_bounds = neighborhood.bounds(gamma)[nodes]
-        assert local_bounds.mean() <= neighborhood_bounds.mean() + 1e-9
-
     def test_pure_topic_precomputation_tighter_than_envelope(
         self, weights_and_truth
     ):
@@ -155,14 +111,7 @@ class TestInterfaces:
         with pytest.raises(ValidationError):
             estimator.bounds(np.array([0.5, 0.5]))
 
-    def test_local_bound_single_node(self, weights_and_truth):
-        _graph, weights = weights_and_truth
-        estimator = LocalGraphBound(weights, radius=1)
-        value = estimator.bound_for(0, np.array([0.25, 0.25, 0.25, 0.25]))
-        assert value >= 1.0
-
     def test_all_bounds_at_least_one(self, weights_and_truth):
         _graph, weights = weights_and_truth
         gamma = np.array([0.25, 0.25, 0.25, 0.25])
         assert np.all(PrecomputationBound(weights, grid=2).bounds(gamma) >= 1.0)
-        assert np.all(NeighborhoodBound(weights).bounds(gamma) >= 1.0)

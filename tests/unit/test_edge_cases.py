@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import NeighborhoodBound, PrecomputationBound
+from repro.core.bounds import PrecomputationBound
 from repro.core.influencer_index import InfluencerIndex
 from repro.core.paths import InfluencePathExplorer
 from repro.graph.digraph import SocialGraph
@@ -23,20 +23,13 @@ class TestSingleTopicDegeneracy:
 
     def test_bounds_work(self, line_graph):
         weights = TopicEdgeWeights(line_graph, np.full((3, 1), 0.5))
-        for estimator in (
-            PrecomputationBound(weights, grid=2),
-            NeighborhoodBound(weights),
-        ):
-            bounds = estimator.bounds(np.array([1.0]))
-            assert bounds.shape == (4,)
-            assert np.all(bounds >= 1.0)
+        bounds = PrecomputationBound(weights, grid=2).bounds(np.array([1.0]))
+        assert bounds.shape == (4,)
+        assert np.all(bounds >= 1.0)
 
     def test_best_effort_single_topic(self, line_graph):
         weights = TopicEdgeWeights(line_graph, np.full((3, 1), 0.9))
-        engine = BestEffortKeywordIM(
-            weights, NeighborhoodBound(weights), oracle="ris",
-            num_sets=300, seed=0,
-        )
+        engine = BestEffortKeywordIM(weights, PrecomputationBound(weights), seed=0)
         result = engine.query(np.array([1.0]), 1)
         assert result.seeds == [0]  # head of the path dominates
 
@@ -73,21 +66,29 @@ class TestDisconnectedGraphs:
 class TestPruneRatioKnob:
     def test_zero_ratio_disables_warm_start_pruning(self, medium_graph):
         weights = TopicEdgeWeights.weighted_cascade(medium_graph, 4, seed=1)
-        engine = BestEffortKeywordIM(
-            weights, NeighborhoodBound(weights), oracle="ris",
-            num_sets=400, seed=2,
-        )
+        engine = BestEffortKeywordIM(weights, PrecomputationBound(weights), seed=2)
         gamma = np.array([0.4, 0.3, 0.2, 0.1])
         warm = engine.query(gamma, 3).seeds
         unpruned = engine.query(gamma, 3, warm_start=warm, prune_ratio=0.0)
         assert unpruned.statistics["pruned_by_warm_start"] == 0.0
 
+    @pytest.mark.parametrize(
+        "warm_start", [np.array([1, 2]), np.array([], dtype=np.int64)]
+    )
+    def test_numpy_warm_start(self, medium_graph, warm_start):
+        """An array warm start counts as one exact evaluation iff non-empty,
+        like the list it equals."""
+        weights = TopicEdgeWeights.weighted_cascade(medium_graph, 4, seed=1)
+        engine = BestEffortKeywordIM(weights, PrecomputationBound(weights), seed=2)
+        gamma = np.array([0.4, 0.3, 0.2, 0.1])
+        from_array = engine.query(gamma, 3, warm_start=warm_start)
+        from_list = engine.query(gamma, 3, warm_start=warm_start.tolist())
+        assert from_array.seeds == from_list.seeds
+        assert from_array.statistics == from_list.statistics
+
     def test_invalid_ratio(self, medium_graph):
         weights = TopicEdgeWeights.weighted_cascade(medium_graph, 4, seed=1)
-        engine = BestEffortKeywordIM(
-            weights, NeighborhoodBound(weights), oracle="ris",
-            num_sets=200, seed=2,
-        )
+        engine = BestEffortKeywordIM(weights, PrecomputationBound(weights), seed=2)
         with pytest.raises(ValidationError):
             engine.query(
                 np.array([0.25, 0.25, 0.25, 0.25]),

@@ -32,10 +32,6 @@ def citation_dataset_module():
 
 
 class TestConfig:
-    def test_invalid_bound_estimator(self):
-        with pytest.raises(ValidationError):
-            OctopusConfig(bound_estimator="psychic")
-
     def test_invalid_counts(self):
         with pytest.raises(ValidationError):
             OctopusConfig(num_sketches=0)

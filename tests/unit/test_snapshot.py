@@ -118,15 +118,26 @@ class TestRoundtrip:
         loaded = load_snapshot(snapshot_path)
         assert _golden_bytes(loaded) == _golden_bytes(system)
 
-    def test_retired_config_key_with_its_default_still_loads(
-        self, system, snapshot_path, tmp_path
+    @pytest.mark.parametrize(
+        "key, default",
+        [
+            ("sketch_expansion", "frontier"),
+            ("bound_estimator", "precomputation"),
+            ("precomputation_grid", 4),
+            ("local_radius", 2),
+            ("oracle", "mc"),
+            ("oracle_rr_sets", 2000),
+        ],
+    )
+    def test_retired_key_still_loads(
+        self, system, snapshot_path, tmp_path, key, default
     ):
-        """Snapshots written before ``sketch_expansion`` was retired embed
-        its default; they describe exactly the system this build builds."""
+        """Snapshots written before a config field was retired embed its
+        default; they describe exactly the system this build builds."""
         older = _rewrite_header(
             snapshot_path,
             tmp_path,
-            lambda header: header["config"].update(sketch_expansion="frontier"),
+            lambda header: header["config"].update({key: default}),
         )
         loaded = load_snapshot(older)
         assert loaded.config == system.config
@@ -230,8 +241,10 @@ class TestRejection:
     @pytest.mark.parametrize(
         "key, value, named",
         [
-            # retired field, answer-changing value
+            # retired fields, answer-changing values
             ("sketch_expansion", "node", "sketch_expansion"),
+            ("bound_estimator", "local", "bound_estimator"),
+            ("oracle", "ris", "oracle"),
             # retired value of a live field
             ("rr_kernel", "legacy", "legacy"),
             # a field this build has never heard of

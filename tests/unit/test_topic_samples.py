@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import NeighborhoodBound
+from repro.core.bounds import PrecomputationBound
 from repro.core.topic_samples import TopicSampleIndex
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.validation import ValidationError
@@ -20,7 +20,7 @@ def setup():
         weights, num_samples=16, max_k=8, num_rr_sets=600, seed=23
     )
     best_effort = BestEffortKeywordIM(
-        weights, NeighborhoodBound(weights), oracle="ris", num_sets=800, seed=24
+        weights, PrecomputationBound(weights), seed=24
     )
     return graph, weights, index, best_effort
 
