@@ -10,7 +10,7 @@ dispatcher?  For each request type we measure the same request executed
 
 Both paths run **warm**: the very first execution populates the result
 cache, so the pair isolates transport + envelope cost from index compute
-(cold compute cost is E1/E4/E14's business).  ``extra_info`` records the
+(cold compute cost is E1/E4's business).  ``extra_info`` records the
 response payload size — wire overhead scales with serialized bytes — and
 the in-process mean so the history keeps the per-type overhead ratio.
 

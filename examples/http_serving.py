@@ -4,8 +4,9 @@
 The demo paper's deployment is a long-lived server answering many small
 online queries.  This example plays both sides of that wire:
 
-1. build a system and boot :class:`repro.OctopusHTTPServer` over a
-   concurrent service executor, on an ephemeral loopback port;
+1. build a system and boot :class:`repro.OctopusHTTPServer` over two
+   forked whole-query replicas (``--executor processes``), on an
+   ephemeral loopback port;
 2. talk to it with :class:`repro.OctopusClient` — single queries, a
    de-duplicated batch, health and statistics (the same four endpoints
    ``curl`` would hit);
@@ -19,7 +20,7 @@ Run:  python examples/http_serving.py
 
 from repro import (
     CitationNetworkGenerator,
-    ConcurrentOctopusService,
+    ClusterCoordinator,
     FindInfluencersRequest,
     CompleteRequest,
     Octopus,
@@ -52,7 +53,7 @@ def main() -> None:
     service = OctopusService(system)
 
     # -- 1. boot the server on an ephemeral port -----------------------
-    executor = ConcurrentOctopusService(service, workers=4, mode="threads")
+    executor = ClusterCoordinator(service, shards=2, fan_out=False)
     server = serve_in_background(executor)
     print(f"serving on {server.url}")
     print("endpoints: POST /query  POST /batch  GET /stats  GET /healthz\n")

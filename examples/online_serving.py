@@ -8,9 +8,10 @@ request/response front door every client shares:
 1. a single typed request and its JSON wire form (log-replayable),
 2. a Zipf-skewed mixed workload of request objects, cold vs. warm cache,
 3. batch execution de-duplicating repeated queries,
-4. concurrent execution of the same workload on a worker pool
-   (:class:`repro.ConcurrentOctopusService` — in-flight de-duplication,
-   shared thread-safe cache and metrics),
+4. the same workload on forked whole-query replicas
+   (:class:`repro.ClusterCoordinator` with ``fan_out=False``, i.e.
+   ``octopus serve --executor processes`` — same envelopes, one cache and
+   one set of metrics in the serving process),
 5. the serving metrics the middleware stack collects for free,
 6. the model-refresh path — periodic EM re-fits absorbed by the
    influencer index without re-sampling its sketches.
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro import (
     CitationNetworkGenerator,
-    ConcurrentOctopusService,
+    ClusterCoordinator,
     FindInfluencersRequest,
     Octopus,
     OctopusConfig,
@@ -90,14 +91,14 @@ def main() -> None:
         print(f"  {req.keywords[0]:<14s} ok={resp.ok} "
               f"cache_hit={resp.cache_hit} {resp.latency_ms:.2f} ms")
 
-    print("\n== concurrent serving (4 worker threads, same envelopes) ==")
+    print("\n== forked replicas (2 whole-query replicas, same envelopes) ==")
     service.cache.clear()
-    with ConcurrentOctopusService(service, workers=4) as executor:
-        concurrent = run_workload(executor, workload)
-        for line in concurrent.lines():
+    with ClusterCoordinator(service, shards=2, fan_out=False) as executor:
+        replicated = run_workload(executor, workload)
+        for line in replicated.lines():
             print("  " + line)
-        shared = executor.stats()["executor.shared_inflight"]
-        print(f"  identical in-flight requests shared: {shared:.0f}")
+        alive = executor.health()["shards_alive"]
+        print(f"  replicas alive: {alive} of 2")
 
     print("\n== serving metrics (collected by the middleware stack) ==")
     for key, value in sorted(service.metrics.snapshot().items()):

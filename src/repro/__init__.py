@@ -66,7 +66,6 @@ from repro.server import (
 )
 from repro.service import (
     CompleteRequest,
-    ConcurrentOctopusService,
     ExplorePathsRequest,
     FindInfluencersRequest,
     TargetedInfluencersRequest,
@@ -90,7 +89,6 @@ __all__ = [
     "Octopus",
     "OctopusConfig",
     "OctopusService",
-    "ConcurrentOctopusService",
     "ClusterCoordinator",
     "OctopusHTTPServer",
     "OctopusAsyncGateway",

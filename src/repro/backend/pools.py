@@ -394,9 +394,8 @@ class ProcessPoolBackend(_PooledBackend):
     def _reset_shm_after_fork(self) -> None:
         """Fork hygiene: a replica must not touch its parent's data plane.
 
-        Called by worker initializers that adopt a forked service replica
-        (:func:`repro.service.concurrent._adopt_worker_service`,
-        :func:`repro.cluster.worker.shard_main`).  The parent's arenas,
+        Called when a shard adopts its forked service replica
+        (:func:`repro.cluster.worker.shard_main`).  The parent's arenas,
         reader and epoch belong to the parent's pool; the *session* is
         kept — its finalizer is pid-guarded, and building this replica's
         own arenas inside the inherited directory keeps them under the

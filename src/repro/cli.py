@@ -22,8 +22,9 @@ Commands::
     octopus query       DIR REQUEST_JSON [--batch] [--pretty]
     octopus query       --url http://HOST:PORT REQUEST_JSON [--batch]
     octopus serve       DIR [--host H] [--port P] [--auth-token TOKEN]
-                        [--executor {serial,threads,processes,cluster}]
-                        [--shards N] [--frontend {threaded,asyncio}]
+                        [--executor {serial,processes,cluster}]
+                        [--workers N] [--shards N]
+                        [--frontend {threaded,asyncio}]
                         [--queue-depth N] [--gateway-workers N]
                         [--heavy-slots N] [--tenant-rate RPS]
                         [--tls-cert PEM --tls-key PEM]
@@ -43,14 +44,17 @@ envelopes, and ``GET /metrics`` exposes Prometheus text for scraping.
 ``--log-level`` turns on library console logging (``--log-json`` for one
 JSON object per line, request ids included); ``--no-trace`` disables
 request tracing and ``--slow-query-ms`` tunes the slow-query log
-threshold.  ``--executor threads|processes`` serves requests from a
-:class:`~repro.service.ConcurrentOctopusService` worker pool (``--workers``
-sizes it); ``--executor cluster`` serves from ``--shards`` long-lived shard
-processes behind a :class:`~repro.cluster.ClusterCoordinator` — answers
-are byte-identical at any shard count.  ``--auth-token`` requires
-``Authorization: Bearer`` on every endpoint except ``/healthz`` (pass the
-same token to ``query --url --auth-token``).  Ctrl-C shuts down gracefully
-— in-flight requests drain into a final metrics report.
+threshold.  ``--executor serial`` (the default) computes on the front
+end's own threads; the two forked executors run a
+:class:`~repro.cluster.ClusterCoordinator` over long-lived replica
+processes: ``--executor processes`` routes every request whole to an idle
+one of ``--workers`` replicas, and ``--executor cluster`` additionally
+fans targeted sampling out across ``--shards`` shards.  Answers are
+byte-identical on every executor at any replica or shard count.
+``--auth-token`` requires ``Authorization: Bearer`` on every endpoint
+except ``/healthz`` (pass the same token to ``query --url --auth-token``).
+Ctrl-C shuts down gracefully — in-flight requests drain into a final
+metrics report.
 
 ``serve --frontend asyncio`` swaps the threaded front end for the
 :mod:`repro.gateway` event-loop server — same wire bytes, plus admission
@@ -67,8 +71,8 @@ Every system command also accepts ``--backend {serial,threads,processes}``
 and ``--workers N``: index builds and RR-set sampling run on the chosen
 execution backend.  The backend is pure scheduling: the same seed gives
 the same answers on ``serial`` (the default), ``threads`` and
-``processes``, at any worker count.  ``query --batch`` with
-``--workers > 1`` serves the batch through the concurrent executor.
+``processes``, at any worker count.  ``query --batch`` serves the array
+in order, sharing duplicates (``cache_hit=true``).
 ``--rr-kernel {vectorized,native}`` picks the RR sampling core: results
 are deterministic per kernel.  ``native`` runs the chunk-batched compiled
 extension when it is built (``python setup.py build_ext --inplace`` or a
@@ -286,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot from an OCTOSNAP snapshot instead of building from the "
         "dataset (instant warm start; the snapshot's embedded config — "
         "including the seed — wins over --seed/--fast/--backend flags); "
-        "with --executor cluster the snapshot also enables dead-shard "
-        "respawn",
+        "with --executor processes or cluster the snapshot also enables "
+        "dead-replica respawn",
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default loopback)"
@@ -300,14 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor",
-        choices=("serial", "threads", "processes", "cluster"),
+        choices=("serial", "processes", "cluster"),
         default="serial",
-        help="request executor: 'serial' computes on the connection's "
-        "handler thread; 'threads'/'processes' serve through a concurrent "
-        "worker pool with in-flight de-duplication (--workers sizes the "
-        "pool as well as the compute backend); 'cluster' serves through "
-        "long-lived shard processes (--shards sizes the cluster) with "
-        "deterministic fan-out — shard count never changes answer bytes",
+        help="request executor: 'serial' computes on the front end's own "
+        "threads; 'processes' routes every request whole to an idle one "
+        "of --workers forked replicas (default: CPU count); 'cluster' "
+        "also fans targeted sampling out across --shards forked shards — "
+        "replica and shard counts never change answer bytes",
     )
     serve.add_argument(
         "--shards",
@@ -677,20 +680,20 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             return 2
     else:
         service = _load_service(arguments)
-    if arguments.executor == "cluster":
+    if arguments.executor != "serial":
+        from repro.backend.base import default_worker_count
         from repro.cluster import ClusterCoordinator
 
+        # processes: whole-query replicas; cluster: targeted fan-out too.
+        fan_out = arguments.executor == "cluster"
+        replicas = arguments.shards if fan_out else arguments.workers
+        if replicas is None:
+            replicas = default_worker_count()
         service = ClusterCoordinator(
             service,
-            shards=arguments.shards,
+            shards=replicas,
             snapshot_path=arguments.snapshot,
-        )
-    elif arguments.executor != "serial":
-        from repro.service import ConcurrentOctopusService
-
-        mode = "threads" if arguments.executor == "threads" else "processes"
-        service = ConcurrentOctopusService(
-            service, workers=arguments.workers, mode=mode
+            fan_out=fan_out,
         )
     if arguments.frontend == "asyncio":
         from repro.gateway import GatewayConfig, OctopusAsyncGateway
@@ -827,17 +830,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
         print("error: query needs a dataset directory or --url", file=sys.stderr)
         return 2
     if arguments.batch:
-        service = _load_service(arguments)
-        workers = arguments.workers or 1
-        if workers > 1:
-            # Concurrent batch serving: same envelopes, worker threads,
-            # in-flight de-duplication of identical requests.
-            from repro.service import ConcurrentOctopusService
-
-            with ConcurrentOctopusService(service, workers=workers) as executor:
-                responses = executor.execute_batch(entries)
-        else:
-            responses = service.execute_batch(entries)
+        responses = _load_service(arguments).execute_batch(entries)
         print(
             json.dumps(
                 [response.to_dict() for response in responses],

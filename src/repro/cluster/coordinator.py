@@ -1,4 +1,4 @@
-"""The cluster coordinator: the service-executor surface over shard fan-out.
+"""The cluster coordinator: forked service replicas behind the one stack.
 
 :class:`ClusterCoordinator` implements the executor contract the rest of
 the system already speaks — ``execute`` / ``execute_batch`` / ``stats`` /
@@ -6,27 +6,27 @@ the system already speaks — ``execute`` / ``execute_batch`` / ``stats`` /
 processes.  It *is* the wrapped :class:`~repro.service.OctopusService`'s
 middleware stack (:meth:`~repro.service.OctopusService.over`) ending in a
 routing handler instead of the local backend, so it drops into
-:class:`~repro.server.OctopusHTTPServer` and the CLI exactly where
-:class:`~repro.service.OctopusService` or
-:class:`~repro.service.ConcurrentOctopusService` would.
+:class:`~repro.server.OctopusHTTPServer`, the asyncio gateway and the CLI
+exactly where :class:`~repro.service.OctopusService` would.  It backs both
+forked executors of ``octopus serve``: ``--executor processes`` is
+``fan_out=False`` and ``--executor cluster`` is ``fan_out=True``.
 
 Execution model
 ---------------
 
 The coordinator forks ``shards`` worker processes at construction; each
 inherits the fully built service (graph, indexes, middleware) copy-on-write
-and owns a contiguous **node range** of the graph.  Requests then take one
-of two paths:
+and is a whole-query replica.  Requests then take one of two paths:
 
-* **Routing** — user-affine queries (suggestion, path exploration) go to
-  the shard owning the resolved user's node range, so mutable per-user
-  index state (delayed sketch materialization) accumulates only on the
-  owner; everything else load-balances round-robin over live shards.
-  Every shard replica is seed-identical to the single-process service, so
-  the response bytes do not depend on the chosen shard.
-* **Fan-out sampling** — targeted-IM queries fan out: the coordinator
-  runs the ordinary targeted handler on its own replica with the engine's
-  one replaceable step — sample + greedy cover
+* **Routing** — a request is computed whole on one replica: the first
+  live shard whose pipe lock is free, else round-robin over the live
+  shards.  A cheap request therefore never queues behind a long one while
+  another replica is idle.  Every replica is seed-identical to the
+  single-process service, so the response bytes do not depend on the
+  chosen shard.
+* **Fan-out sampling** (``fan_out=True`` only) — targeted-IM queries fan
+  out: the coordinator runs the ordinary targeted handler on its own
+  replica with the engine's one replaceable step — sample + greedy cover
   (:data:`repro.core.targeted.CoverStep`) — swapped for the shard
   exchange.  That step builds the exact chunk plan
   (:func:`repro.backend.base.rr_chunk_plan`) the single-process backend
@@ -37,7 +37,9 @@ of two paths:
   them.  Because chunk streams are keyed by chunk index — never by shard
   — the sampled batch, the greedy selections and every float in the
   response are **byte-identical** for 1, 2 or 4 shards and to the
-  single-process service: shard count is a pure execution detail.
+  single-process service: shard count is a pure execution detail.  With
+  ``fan_out=False`` every request, ``targeted`` included, is routed, so
+  no shared-memory session or arena is created.
 
 Failure model
 -------------
@@ -45,8 +47,8 @@ Failure model
 Every wait is bounded.  A shard that dies mid-request surfaces as a
 structured ``internal_error`` envelope within the pipe timeout (never a
 hang, never an unparseable body); later requests route around dead shards
-and :meth:`health` reports the cluster degraded.  A distributed query that
-loses a shard mid-fan-out falls back to whole-query routing on a live
+and :meth:`health` reports the executor degraded.  A distributed query
+that loses a shard mid-fan-out falls back to whole-query routing on a live
 replica — which computes the same bytes — before giving up; the replies
 still owed by the other shards of that fan-out are discarded when they
 arrive, so the survivors stay in step.
@@ -83,10 +85,8 @@ from repro.propagation.packed import PackedRRSets
 from repro.propagation.rrsets import RRSetCollection
 from repro.service.dispatcher import OctopusService, RequestLike
 from repro.service.requests import (
-    ExplorePathsRequest,
     ServiceRequest,
     StatsRequest,
-    SuggestKeywordsRequest,
     TargetedInfluencersRequest,
 )
 from repro.service.responses import ServiceResponse
@@ -106,9 +106,8 @@ def partition_contiguous(total: int, parts: int) -> List[Tuple[int, int]]:
     """Balanced contiguous split of ``range(total)`` into *parts* slices.
 
     Earlier slices take the remainder, matching ``np.array_split``.  Used
-    both for chunk→shard assignment (the sampling partition) and for
-    node-range ownership (the index partition); slices may be empty when
-    ``parts > total``.
+    for chunk→shard assignment (the sampling partition); slices may be
+    empty when ``parts > total``.
     """
     if parts <= 0:
         raise ValueError(f"parts must be positive, got {parts}")
@@ -155,13 +154,11 @@ class _ShardHandle:
         shard_id: int,
         process: multiprocessing.Process,
         connection,
-        node_range: Tuple[int, int],
         arena: Optional[ShmArena] = None,
     ) -> None:
         self.shard_id = shard_id
         self.process = process
         self.connection = connection
-        self.node_range = node_range
         self.arena = arena
         self.lock = threading.Lock()
         self.dead_reason = ""
@@ -260,10 +257,16 @@ class _ShardHandle:
         command: Any,
         timeout: float,
         lock_timeout: Optional[float] = None,
+        *,
+        held: bool = False,
     ) -> Any:
-        """One lock + send + receive exchange with bounded waits."""
+        """One lock + send + receive exchange with bounded waits.
+
+        With *held* the caller already owns the pipe lock; it is released
+        here either way.
+        """
         wait = lock_timeout if lock_timeout is not None else timeout
-        if not self.lock.acquire(timeout=wait):
+        if not held and not self.lock.acquire(timeout=wait):
             raise ShardTimeoutError(
                 f"shard {self.shard_id} is busy (lock not free within "
                 f"{wait:.1f}s)"
@@ -293,13 +296,15 @@ class _ShardHandle:
 
 
 class ClusterCoordinator:
-    """Sharded multi-process service executor (see module docstring).
+    """Forked-replica service executor (see module docstring).
 
     Accepts an :class:`OctopusService` or a bare :class:`Octopus` backend
-    (wrapped with *service_kwargs*), like the concurrent executor.  Every
-    request runs that service's one middleware stack here, in the
-    coordinator process; shard replicas execute only what the stack's
-    innermost handler (:meth:`_compute`) sends them.
+    (wrapped with *service_kwargs*).  Every request runs that service's one
+    middleware stack here, in the coordinator process; shard replicas
+    execute only what the stack's innermost handler (:meth:`_compute`)
+    sends them.  *fan_out* selects whether targeted queries are sampled
+    across every shard (``--executor cluster``) or routed whole like every
+    other request (``--executor processes``).
     """
 
     def __init__(
@@ -309,6 +314,7 @@ class ClusterCoordinator:
         shards: int = 2,
         shard_timeout: float = 60.0,
         snapshot_path: Optional[str] = None,
+        fan_out: bool = True,
         **service_kwargs: Any,
     ) -> None:
         if isinstance(service, OctopusService):
@@ -333,13 +339,13 @@ class ClusterCoordinator:
         check_positive(self.shards, "shards")
         self.shard_timeout = float(shard_timeout)
         check_positive(self.shard_timeout, "shard_timeout")
+        self.fan_out = bool(fan_out)
+        self.kind = "cluster" if self.fan_out else "processes"
         self.closed = False
         # With a snapshot on disk, a dead shard can be respawned from it
         # (see respawn_dead_shards) instead of degrading permanently.
         self.snapshot_path = snapshot_path
         self._respawn_lock = threading.Lock()
-        num_nodes = self.service.backend.graph.num_nodes
-        node_ranges = partition_contiguous(num_nodes, self.shards)
         context = multiprocessing.get_context("fork")
         self._context = context
         # The shared-memory data plane: one coordinator-owned session
@@ -347,10 +353,11 @@ class ClusterCoordinator:
         # forks so each shard inherits its base mapping.  Ownership stays
         # here — a killed shard cannot leak a segment, and close()
         # reclaims the whole session directory in one sweep.  A sampled
-        # batch larger than the default capacity grows on demand.
+        # batch larger than the default capacity grows on demand.  Only
+        # fan-out replies travel through it, so whole-query replicas skip it.
         self._shm_session: Optional[ShmSession] = None
         arenas: List[Optional[ShmArena]] = [None] * self.shards
-        if shm_enabled():
+        if self.fan_out and shm_enabled():
             self._shm_session = ShmSession()
             arenas = [
                 ShmArena(self._shm_session, f"shard{shard_id}")
@@ -366,7 +373,6 @@ class ClusterCoordinator:
                     self.service,
                     shard_id,
                     self.shards,
-                    node_ranges[shard_id],
                     arenas[shard_id],
                 ),
                 name=f"octopus-shard-{shard_id}",
@@ -375,13 +381,7 @@ class ClusterCoordinator:
             process.start()
             child_end.close()  # the parent keeps only its end
             self._handles.append(
-                _ShardHandle(
-                    shard_id,
-                    process,
-                    parent_end,
-                    node_ranges[shard_id],
-                    arenas[shard_id],
-                )
+                _ShardHandle(shard_id, process, parent_end, arenas[shard_id])
             )
         self._round_robin = itertools.count()
         self._front = self.service.over(self._compute)
@@ -420,7 +420,7 @@ class ClusterCoordinator:
         latency, not just the coordinator's own.
         """
         stats: Dict[str, Any] = dict(self.service.stats())
-        stats["executor.kind"] = "cluster"
+        stats["executor.kind"] = self.kind
         stats["executor.workers"] = float(self.shards)
         stats["executor.shards"] = float(self.shards)
         stats["executor.payload_transport"] = (
@@ -460,16 +460,12 @@ class ClusterCoordinator:
         for handle in self._handles:
             ok = handle.is_alive()
             alive += int(ok)
-            entry: Dict[str, Any] = {
-                "shard": handle.shard_id,
-                "alive": bool(ok),
-                "node_range": list(handle.node_range),
-            }
+            entry: Dict[str, Any] = {"shard": handle.shard_id, "alive": bool(ok)}
             if not ok and handle.dead_reason:
                 entry["reason"] = handle.dead_reason
             liveness.append(entry)
         return {
-            "kind": "cluster",
+            "kind": self.kind,
             "shards": self.shards,
             "shards_alive": alive,
             "degraded": alive < self.shards,
@@ -484,8 +480,8 @@ class ClusterCoordinator:
         base mapping exactly as at first construction — restores its
         replica from the snapshot (:func:`repro.snapshot.load_snapshot`,
         byte-identical to the replica it replaces), and takes over the
-        dead shard's node range; distributed chunk ranges are assigned
-        positionally over the handle list, so chunk-range ownership
+        dead shard's place in the handle list; distributed chunk ranges
+        are assigned positionally over that list, so chunk-range ownership
         restores automatically.  Boot is confirmed with a bounded ping
         before the new handle enters rotation, so a snapshot that fails
         to restore surfaces as a :class:`ShardError` (and the shard stays
@@ -526,7 +522,6 @@ class ClusterCoordinator:
                         self.snapshot_path,
                         handle.shard_id,
                         self.shards,
-                        handle.node_range,
                         handle.arena,
                     ),
                     name=f"octopus-shard-{handle.shard_id}",
@@ -535,11 +530,7 @@ class ClusterCoordinator:
                 process.start()
                 child_end.close()
                 fresh = _ShardHandle(
-                    handle.shard_id,
-                    process,
-                    parent_end,
-                    handle.node_range,
-                    handle.arena,
+                    handle.shard_id, process, parent_end, handle.arena
                 )
                 try:
                     fresh.call(Ping(), timeout=self.shard_timeout)
@@ -614,30 +605,18 @@ class ClusterCoordinator:
     def _live_handles(self) -> List[_ShardHandle]:
         return [handle for handle in self._handles if handle.is_alive()]
 
-    def _owner_shard(self, node: int) -> Optional[_ShardHandle]:
-        """The shard whose node range contains *node*."""
-        for handle in self._handles:
-            low, high = handle.node_range
-            if low <= node < high:
-                return handle
-        return None
-
-    def _pick_routed(self, typed: ServiceRequest) -> Optional[_ShardHandle]:
-        """Owner shard for user-affine requests, else round-robin over live
-        shards; ``None`` when the whole cluster is down."""
-        if isinstance(typed, (SuggestKeywordsRequest, ExplorePathsRequest)):
-            try:
-                node = self.service.backend.resolve_user(typed.user)
-            except Exception:  # noqa: BLE001 — shard produces the exact error
-                node = None
-            if node is not None:
-                owner = self._owner_shard(node)
-                if owner is not None and owner.is_alive():
-                    return owner
+    def _pick_routed(self) -> Tuple[Optional[_ShardHandle], bool]:
+        """The routing rule: the first live shard whose pipe lock is free,
+        returned with that lock held, else round-robin over live shards
+        (the caller waits for the lock); ``(None, False)`` when the whole
+        executor is down."""
         live = self._live_handles()
+        for handle in live:
+            if handle.lock.acquire(blocking=False):
+                return handle, True
         if not live:
-            return None
-        return live[next(self._round_robin) % len(live)]
+            return None, False
+        return live[next(self._round_robin) % len(live)], False
 
     # ------------------------------------------------------------------
     # Execution paths
@@ -646,10 +625,10 @@ class ClusterCoordinator:
     def _distributable(self, typed: ServiceRequest) -> bool:
         """Whether this request takes the fan-out path.
 
-        Targeted IM fans out; a degraded cluster routes instead, because
-        the fan-out needs every shard's chunk range.
+        Targeted IM fans out when *fan_out* is on; a degraded cluster routes
+        instead, because the fan-out needs every shard's chunk range.
         """
-        if not isinstance(typed, TargetedInfluencersRequest):
+        if not self.fan_out or not isinstance(typed, TargetedInfluencersRequest):
             return False
         return all(handle.is_alive() for handle in self._handles)
 
@@ -673,23 +652,18 @@ class ClusterCoordinator:
                 return response
             # A shard died or stalled mid-fan-out.  Whole-query routing on
             # a live replica computes the identical bytes.
-        handle = self._pick_routed(typed)
+        trace = current_trace()
+        command = ExecuteRequest(
+            typed, request_id=trace.request_id if trace is not None else None
+        )
+        handle, held = self._pick_routed()
         if handle is None:
             return ServiceResponse.failure(
                 typed.service, "internal_error", "no live shards in the cluster"
             )
-        trace = current_trace()
         try:
             with trace_stage(f"shard{handle.shard_id}.roundtrip"):
-                return handle.call(
-                    ExecuteRequest(
-                        typed,
-                        request_id=trace.request_id
-                        if trace is not None
-                        else None,
-                    ),
-                    timeout=self.shard_timeout,
-                )
+                return handle.call(command, timeout=self.shard_timeout, held=held)
         except ShardDeadError as error:
             return ServiceResponse.failure(
                 typed.service,

@@ -1,23 +1,20 @@
 """The long-lived shard worker process.
 
-A :class:`ShardWorker` owns one partition of the cluster's state for the
-whole server lifetime — unlike a process-pool task, it keeps mutable index
-state (delayed sketch materialization) resident between requests:
+A :class:`ShardWorker` serves one forked replica for the whole server
+lifetime:
 
 * a **full service replica**, inherited copy-on-write from the coordinator
-  fork, with the fork hygiene of the process-pool executor (pooled compute
-  backend dropped).  The coordinator's stack has already admitted every
-  request that arrives here, so the replica runs only the innermost
-  handler (:meth:`~repro.service.OctopusService.handle`) and counts what
-  it served in its own metrics;
-* a **node-range partition** ``[node_lo, node_hi)``: user-affine queries
-  (suggestion, path exploration) are routed here by the coordinator, so
-  only this shard ever materializes the influencer-index sketches its
-  users touch;
-* a **chunk-range share** of each targeted fan-out: the shard samples
-  exactly the chunks the coordinator assigns (per-chunk spawned RNG
-  streams from :func:`repro.backend.base.rr_chunk_plan`) and returns the
-  packed batch; nothing outlives the command.
+  fork, with fork hygiene applied (:func:`_fork_hygiene`: the pooled
+  compute backend is dropped).  The coordinator's stack has already
+  admitted every request that arrives here, so the replica runs only the
+  innermost handler (:meth:`~repro.service.OctopusService.handle`) and
+  counts what it served in its own metrics.  Any replica can serve any
+  request: the coordinator routes each one to an idle shard;
+* a **chunk-range share** of each targeted fan-out (``--executor cluster``
+  only): the shard samples exactly the chunks the coordinator assigns
+  (per-chunk spawned RNG streams from
+  :func:`repro.backend.base.rr_chunk_plan`) and returns the packed batch;
+  nothing outlives the command.
 
 The worker is single-threaded and command-at-a-time: the coordinator holds
 the shard's pipe lock for each exchange, so no locking is needed here.  A
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 import os
 import signal
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
@@ -45,7 +42,6 @@ from repro.cluster.protocol import (
 from repro.obs.trace import RequestTrace, trace_context
 from repro.propagation.packed import PackedRRSets
 from repro.propagation.rrsets import sample_packed_rr_sets
-from repro.service.concurrent import _adopt_worker_service
 from repro.service.dispatcher import OctopusService
 from repro.service.middleware import MetricsMiddleware
 from repro.utils.logging import get_logger
@@ -53,6 +49,26 @@ from repro.utils.logging import get_logger
 _logger = get_logger("cluster.worker")
 
 __all__ = ["ShardWorker", "shard_main", "shard_respawn_main"]
+
+
+def _fork_hygiene(service: OctopusService) -> None:
+    """Make a forked replica safe to serve from.
+
+    Pooled execution backends do not survive a fork (their worker threads
+    or processes belong to the parent), so the replica's backend drops its
+    executor and lazily re-creates one if needed.  The replica's
+    middleware is left as inherited and never runs — replicas execute
+    :meth:`OctopusService.handle` only — so a forked cache or rate-limit
+    bucket can neither go stale nor spend a second budget.
+    """
+    execution = service.backend.execution
+    if hasattr(execution, "_executor"):
+        execution._executor = None
+    if hasattr(execution, "_reset_shm_after_fork"):
+        # The parent's shared-memory arenas belong to the parent's pool;
+        # this replica must build its own (inside the inherited session
+        # directory, which keeps crash cleanup with the original owner).
+        execution._reset_shm_after_fork()
 
 
 class ShardWorker:
@@ -63,13 +79,11 @@ class ShardWorker:
         service: OctopusService,
         shard_id: int,
         num_shards: int,
-        node_range: Tuple[int, int],
         arena: Optional[ShmArena] = None,
     ) -> None:
         self.service = service
         self.shard_id = int(shard_id)
         self.num_shards = int(num_shards)
-        self.node_range = (int(node_range[0]), int(node_range[1]))
         self.arena = arena
         # Routed requests are timed and folded into the replica's own
         # ServiceMetrics (the coordinator merges them fleet-wide).
@@ -99,7 +113,6 @@ class ShardWorker:
                         "pid": os.getpid(),
                         "commands": self.commands_served,
                         "requests": self.requests_executed,
-                        "node_range": list(self.node_range),
                     },
                 )
             if isinstance(command, Shutdown):
@@ -180,8 +193,6 @@ class ShardWorker:
         stats["shard.id"] = float(self.shard_id)
         stats["shard.commands"] = float(self.commands_served)
         stats["shard.requests"] = float(self.requests_executed)
-        stats["shard.node_lo"] = float(self.node_range[0])
-        stats["shard.node_hi"] = float(self.node_range[1])
         return ShardReply(ok=True, value=stats)
 
 
@@ -190,13 +201,11 @@ def shard_main(
     service: OctopusService,
     shard_id: int,
     num_shards: int,
-    node_range: Tuple[int, int],
     arena: Optional[ShmArena] = None,
 ) -> None:
     """Entry point of a forked shard process.
 
-    Applies the same fork hygiene as the process-pool executor's worker
-    initializer (drop the inherited pool), then serves
+    Applies fork hygiene (drop the inherited pool), then serves
     ``(sequence, command)`` frames until ``Shutdown`` or a closed pipe.
 
     *arena* — when the shared-memory data plane is on — is this shard's
@@ -212,7 +221,7 @@ def shard_main(
     the coordinator escalates to ``terminate()`` after its bounded join).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _serve_shard(connection, service, shard_id, num_shards, node_range, arena)
+    _serve_shard(connection, service, shard_id, num_shards, arena)
 
 
 def shard_respawn_main(
@@ -220,7 +229,6 @@ def shard_respawn_main(
     snapshot_path: str,
     shard_id: int,
     num_shards: int,
-    node_range: Tuple[int, int],
     arena: Optional[ShmArena] = None,
 ) -> None:
     """Entry point of a shard respawned from a snapshot.
@@ -230,10 +238,10 @@ def shard_respawn_main(
     (:func:`repro.snapshot.load_snapshot`), which reconstructs the exact
     constructor inputs and re-runs the seed-keyed index build — so the
     respawned replica answers with the same bytes as the shard it
-    replaces.  The node range and arena are the dead shard's own (the
-    arena's base mapping is inherited across the fork exactly as at first
-    construction, since the coordinator owns the session), so routing and
-    chunk-range ownership resume unchanged.
+    replaces.  The arena is the dead shard's own (its base mapping is
+    inherited across the fork exactly as at first construction, since the
+    coordinator owns the session), so chunk-range ownership resumes
+    unchanged.
 
     A snapshot that fails to load is reported over the pipe as an error
     reply to the coordinator's boot-confirmation ping rather than a silent
@@ -271,7 +279,7 @@ def shard_respawn_main(
             except OSError:
                 pass
         return
-    _serve_shard(connection, service, shard_id, num_shards, node_range, arena)
+    _serve_shard(connection, service, shard_id, num_shards, arena)
 
 
 def _serve_shard(
@@ -279,17 +287,15 @@ def _serve_shard(
     service: OctopusService,
     shard_id: int,
     num_shards: int,
-    node_range: Tuple[int, int],
     arena: Optional[ShmArena],
 ) -> None:
     """The shared shard body: fork hygiene, then the command loop.
 
-    Applies the same hygiene as the process-pool executor's worker
-    initializer (drop any inherited pool), then serves
-    ``(sequence, command)`` frames until ``Shutdown`` or a closed pipe.
+    Serves ``(sequence, command)`` frames until ``Shutdown`` or a closed
+    pipe.
     """
-    _adopt_worker_service(service)
-    worker = ShardWorker(service, shard_id, num_shards, node_range, arena)
+    _fork_hygiene(service)
+    worker = ShardWorker(service, shard_id, num_shards, arena)
     try:
         while True:
             try:

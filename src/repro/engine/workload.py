@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.octopus import Octopus
-from repro.service.concurrent import ConcurrentOctopusService
 from repro.service.dispatcher import OctopusService
 from repro.service.requests import (
     CompleteRequest,
@@ -90,7 +89,7 @@ class QueryWorkload:
     @classmethod
     def generate(
         cls,
-        system: Union[Octopus, OctopusService, ConcurrentOctopusService],
+        system: Union[Octopus, OctopusService, Any],
         config: Optional[WorkloadConfig] = None,
     ) -> "QueryWorkload":
         """Draw a workload against *system*'s vocabulary and users.
@@ -100,11 +99,7 @@ class QueryWorkload:
         are answerable); both are sampled with Zipf-like skew.
         """
         config = config or WorkloadConfig()
-        backend = (
-            system.backend
-            if isinstance(system, (OctopusService, ConcurrentOctopusService))
-            else system
-        )
+        backend = system if isinstance(system, Octopus) else system.backend
         rng = as_generator(config.seed)
         vocabulary = backend.topic_model.vocabulary
         keywords = vocabulary.words()
@@ -201,22 +196,18 @@ class LatencyReport:
 
 
 def run_workload(
-    system: Union[Octopus, OctopusService, ConcurrentOctopusService],
+    system: Union[Octopus, OctopusService, Any],
     workload: QueryWorkload,
-    *,
-    workers: Optional[int] = None,
-    mode: str = "threads",
 ) -> LatencyReport:
     """Execute *workload* through the service layer and collect percentiles.
 
     *system* may be an :class:`OctopusService` (preferred — its cache and
     metrics persist across runs, so a second pass over the same workload
     shows the warm-cache speedup), a bare :class:`Octopus`, which is
-    wrapped in a fresh service for the duration of the run, or a
-    :class:`~repro.service.concurrent.ConcurrentOctopusService`, in which
-    case queries are dispatched to its worker pool.  Passing ``workers > 1``
-    wraps the service in a temporary concurrent executor (*mode* selects
-    threads or processes) for the duration of the run.
+    wrapped in a fresh service for the duration of the run, or any other
+    executor with the service surface (``execute`` and ``metrics``, e.g. a
+    :class:`~repro.cluster.ClusterCoordinator`).  Queries run one at a
+    time, in order.
 
     Individual query failures (e.g. a drawn user without enough keywords)
     are counted under ``errors`` rather than aborting the run — a serving
@@ -224,35 +215,9 @@ def run_workload(
     """
     if len(workload) == 0:
         raise ValidationError("workload is empty")
-    executor: Optional[ConcurrentOctopusService] = None
-    owns_executor = False
-    if isinstance(system, ConcurrentOctopusService):
-        executor, service = system, system.service
-    elif workers is not None and workers > 1:
-        service = (
-            system
-            if isinstance(system, OctopusService)
-            else OctopusService(system)
-        )
-        executor = ConcurrentOctopusService(service, workers=workers, mode=mode)
-        owns_executor = True
-    else:
-        service = (
-            system
-            if isinstance(system, OctopusService)
-            else OctopusService(system)
-        )
+    service = OctopusService(system) if isinstance(system, Octopus) else system
     started = time.perf_counter()
-    try:
-        if executor is not None:
-            responses = executor.execute_batch(workload.queries)
-        else:
-            responses = [
-                service.execute(request) for request in workload.queries
-            ]
-    finally:
-        if owns_executor:
-            executor.close()
+    responses = [service.execute(request) for request in workload.queries]
     wall = time.perf_counter() - started
 
     latencies: Dict[str, List[float]] = {}

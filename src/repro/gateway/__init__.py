@@ -3,12 +3,11 @@
 ``repro.gateway`` is the scale-out front door to the OCTOPUS serving
 stack: an asyncio-native HTTP server that multiplexes thousands of
 keep-alive connections on one event loop and hands admitted compute to
-any service executor — :class:`~repro.service.OctopusService`,
-:class:`~repro.service.ConcurrentOctopusService` or
-:class:`~repro.cluster.ClusterCoordinator` — through a bounded dispatch
-queue.  It speaks exactly the wire protocol of the threaded server
-(:mod:`repro.server`), byte-identical envelopes included, and adds the
-controls production traffic needs:
+any service executor — :class:`~repro.service.OctopusService` or
+:class:`~repro.cluster.ClusterCoordinator` (``--executor processes`` or
+``cluster``) — through a bounded dispatch queue.  It speaks exactly the
+wire protocol of the threaded server (:mod:`repro.server`), byte-identical
+envelopes included, and adds the controls production traffic needs:
 
 * **admission control** (:class:`AdmissionQueue`) — bounded queues that
   shed overload immediately with structured 429 envelopes and

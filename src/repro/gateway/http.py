@@ -223,11 +223,11 @@ class OctopusAsyncGateway:
     """Asyncio serving gateway over an OCTOPUS service executor.
 
     Accepts any executor with the service surface — an
-    :class:`~repro.service.OctopusService`, a
-    :class:`~repro.service.ConcurrentOctopusService` pool, or a
-    :class:`~repro.cluster.ClusterCoordinator` — and serves it with
-    admission control, priority lanes, per-tenant limits and slow-client
-    timeouts (see the module docstring).  ``port=0`` binds an ephemeral
+    :class:`~repro.service.OctopusService`, called from the gateway's
+    worker pool, or a :class:`~repro.cluster.ClusterCoordinator` over
+    forked replicas — and serves it with admission control, priority
+    lanes, per-tenant limits and slow-client timeouts (see the module
+    docstring).  ``port=0`` binds an ephemeral
     port; the bound address is on :attr:`url` after :meth:`start`.
     """
 

@@ -5,7 +5,8 @@ to be transport-ready; this package puts them on a socket.  A threaded
 stdlib server (:class:`~repro.server.http.OctopusHTTPServer`) exposes
 ``POST /query``, ``POST /batch``, ``GET /stats`` and ``GET /healthz`` over
 any service executor — a plain :class:`~repro.service.OctopusService` or a
-:class:`~repro.service.ConcurrentOctopusService` pool — and a typed client
+:class:`~repro.cluster.ClusterCoordinator` over forked replicas — and a
+typed client
 stub (:class:`~repro.server.client.OctopusClient`) mirrors the executor
 surface so callers cannot tell local from remote::
 

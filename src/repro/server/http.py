@@ -28,11 +28,11 @@ line.  Tracing can be disabled per server (``tracing=False``) or via
 identical either way.
 
 The dispatcher behind the socket is anything with the service executor
-shape — a plain :class:`~repro.service.OctopusService` or a
-:class:`~repro.service.ConcurrentOctopusService` worker pool — so the
-serving semantics (caching, metrics, validation, in-flight de-duplication)
-are whatever the chosen executor already provides; this module adds the
-wire, not new semantics.
+shape — a plain :class:`~repro.service.OctopusService`, computed on the
+connection's handler thread, or a :class:`~repro.cluster.ClusterCoordinator`
+computing on forked replicas — so the serving semantics (caching, metrics,
+validation, batch duplicate sharing) are whatever the chosen executor
+already provides; this module adds the wire, not new semantics.
 
 Structured errors map onto HTTP statuses through
 :data:`HTTP_STATUS_BY_ERROR_CODE` (client mistakes are 4xx, only genuine
@@ -40,9 +40,10 @@ Structured errors map onto HTTP statuses through
 — is a parseable envelope, so clients never scrape HTML error pages.
 
 Shutdown is graceful: :meth:`OctopusHTTPServer.shutdown_gracefully` stops
-accepting, drains in-flight handler threads, closes the executor's worker
-pool and folds the last requests into a final statistics snapshot —
-nothing served is ever dropped from the metrics.
+accepting, drains in-flight handler threads, closes the executor (a
+coordinator stops its shard processes) and folds the last requests into a
+final statistics snapshot — nothing served is ever dropped from the
+metrics.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 from urllib.parse import urlsplit
 
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
@@ -82,9 +83,11 @@ from repro.server.wire import (
     status_for_response,
     unauthorized_envelope,
 )
-from repro.service.concurrent import ConcurrentOctopusService
 from repro.service.dispatcher import OctopusService
 from repro.service.responses import ServiceResponse, jsonify
+
+if TYPE_CHECKING:  # the cluster imports the service layer, not the server
+    from repro.cluster.coordinator import ClusterCoordinator
 
 __all__ = [
     "HTTP_STATUS_BY_ERROR_CODE",
@@ -93,7 +96,7 @@ __all__ = [
     "status_for_response",
 ]
 
-ServiceExecutor = Union[OctopusService, ConcurrentOctopusService]
+ServiceExecutor = Union[OctopusService, "ClusterCoordinator"]
 
 # The protocol tables and envelope builders live in the transport-neutral
 # :mod:`repro.server.wire` (shared with the asyncio gateway); this module
@@ -362,8 +365,8 @@ class OctopusHTTPServer(ThreadingHTTPServer):
 
     Each connection is handled on its own thread; the executor underneath
     decides how requests are actually scheduled (a serial dispatcher
-    computes on the handler thread, a concurrent executor hands off to its
-    worker pool).  ``port=0`` binds an ephemeral port — the test harness's
+    computes on the handler thread, a coordinator hands off to a forked
+    replica).  ``port=0`` binds an ephemeral port — the test harness's
     way of running many servers without collisions; the bound address is
     on :attr:`url`.
     """
@@ -514,7 +517,7 @@ class OctopusHTTPServer(ThreadingHTTPServer):
             stats = self.stats()  # snapshot before the pool goes away
             close = getattr(self.service, "close", None)
             if callable(close):
-                close()  # drain the concurrent executor's worker pool
+                close()  # stop the coordinator's shard processes
             self.final_stats = stats
             return stats
 

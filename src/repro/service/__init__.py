@@ -18,15 +18,15 @@ optional rate limiting, batch execution) once, for every entry point::
 Requests and responses serialize losslessly to JSON, so query streams can
 be logged, replayed and served over a wire.
 
-For concurrent serving, :class:`~repro.service.concurrent.ConcurrentOctopusService`
-runs the same envelopes over a thread or process worker pool with in-flight
-de-duplication of identical requests::
+The dispatcher is safe to call from several threads at once (both HTTP
+front ends do).  To compute on forked replicas instead, wrap it in a
+:class:`~repro.cluster.ClusterCoordinator` — the same stack ending in
+"compute on an idle replica"::
 
-    with ConcurrentOctopusService(service, workers=4) as executor:
+    with ClusterCoordinator(service, shards=4, fan_out=False) as executor:
         responses = executor.execute_batch(requests)
 """
 
-from repro.service.concurrent import ConcurrentOctopusService
 from repro.service.dispatcher import OctopusService
 from repro.service.middleware import (
     CacheMiddleware,
@@ -59,7 +59,6 @@ from repro.service.responses import (
 
 __all__ = [
     "OctopusService",
-    "ConcurrentOctopusService",
     "ServiceRequest",
     "FindInfluencersRequest",
     "TargetedInfluencersRequest",

@@ -193,8 +193,7 @@ class OctopusService:
 
     def share(self, original: ServiceResponse) -> ServiceResponse:
         """*original* as answered to a duplicate request that never ran the
-        stack (a batch duplicate, an in-flight follower): timed and
-        counted as a cache hit."""
+        stack (a batch duplicate): timed and counted as a cache hit."""
         started = time.perf_counter()
         return self.metrics.timed(original.as_cache_hit(), started)
 

@@ -109,8 +109,8 @@ class _ServiceCounters:
 class ServiceMetrics:
     """Per-service request counts, error counts, cache hits and latency.
 
-    Thread-safe: the concurrent executor records responses from many
-    worker threads into one collector, so every fold and snapshot happens
+    Thread-safe: both HTTP front ends record responses from many handler
+    or worker threads into one collector, so every fold and snapshot happens
     under an internal lock (read-modify-write on the counters would
     otherwise lose updates).
     """

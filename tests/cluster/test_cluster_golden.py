@@ -11,6 +11,10 @@ cover on the concatenated batch.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.service import (
@@ -167,19 +171,42 @@ class TestCoordinatorServingSemantics:
             assert [r.cache_hit for r in responses] == [False, True, True]
             assert len({deterministic_form(r) for r in responses}) == 1
 
-    def test_user_affine_routing_hits_the_owner_shard(
+    def test_cheap_request_goes_to_the_idle_shard(
         self, make_service, running_cluster
     ):
-        with running_cluster(make_service("serial"), shards=2) as cluster:
-            # Users from both halves of the node range; each query must
-            # land on (and only on) its owner.
-            num_nodes = cluster.backend.graph.num_nodes
-            low_user, high_user = 0, num_nodes - 1
-            assert cluster.execute(SuggestKeywordsRequest(user=low_user, k=2)).ok
-            assert cluster.execute(SuggestKeywordsRequest(user=high_user, k=2)).ok
+        """A routed request goes to the first shard whose pipe is free: a
+        cheap ``suggest`` for user 0 is answered by shard 1 while shard 0
+        is busy with a long ``radar``, without waiting for it."""
+        service = make_service("serial")
+        original = service._handlers["radar"]
+        gate = multiprocessing.get_context("fork").Event()
+
+        def long_radar(request, **options):
+            gate.wait(timeout=5.0)
+            return original(request, **options)
+
+        # Patched before the fork, so every shard inherits the long radar.
+        service._handlers["radar"] = long_radar
+        with running_cluster(service, shards=2) as cluster:
+            busy = cluster._handles[0]
+            long_request = threading.Thread(
+                target=cluster.execute, args=(RadarRequest("data mining"),)
+            )
+            long_request.start()
+            deadline = time.monotonic() + 5.0
+            while not busy.lock.locked() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert busy.lock.locked()  # the radar holds shard 0
+            try:
+                cheap = cluster.execute(SuggestKeywordsRequest(user=0, k=2))
+                assert cheap.ok
+                assert long_request.is_alive()  # answered, radar still running
+            finally:
+                gate.set()
+                long_request.join(timeout=10.0)
             stats = cluster.stats()
-            assert stats["cluster.shard0.requests"] == 1.0
-            assert stats["cluster.shard1.requests"] == 1.0
+        assert stats["cluster.shard0.requests"] == 1.0  # the radar
+        assert stats["cluster.shard1.requests"] == 1.0  # the suggestion
 
     def test_malformed_and_invalid_requests_match_serial_bytes(
         self, make_service, running_cluster

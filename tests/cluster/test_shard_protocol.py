@@ -9,6 +9,8 @@ the error replies that keep a worker alive through bad commands.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,9 +33,7 @@ from repro.service import CompleteRequest
 
 @pytest.fixture
 def worker(make_service):
-    service = make_service("threads")
-    num_nodes = service.backend.graph.num_nodes
-    return ShardWorker(service, shard_id=0, num_shards=1, node_range=(0, num_nodes))
+    return ShardWorker(make_service("threads"), shard_id=0, num_shards=1)
 
 
 class TestSampleShardReply:
@@ -66,7 +66,7 @@ class TestSampleShardReply:
             )
             assert reply.ok
             assert isinstance(reply.value, ShmSlice) == (transport == "shm")
-            handle = _ShardHandle(0, None, None, (0, 0), arena)
+            handle = _ShardHandle(0, None, None, arena)
             nodes, offsets = handle.resolve(reply.value)
             # The reference: the same chunk range (plan offset low·chunk
             # size, same spawned streams) sampled by the serial backend.
@@ -106,7 +106,7 @@ class TestIntrospectionVerbs:
         reply = worker.handle(Ping())
         assert reply.ok
         assert reply.value["shard"] == 0
-        assert reply.value["node_range"] == list(worker.node_range)
+        assert reply.value["pid"] == os.getpid()  # driven in-process
 
     def test_stats_reports_shard_counters_and_replica_stats(self, worker):
         assert worker.handle(ExecuteRequest(CompleteRequest(prefix="da"))).ok

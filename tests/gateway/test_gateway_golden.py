@@ -2,11 +2,11 @@
 
 The determinism contract so far: a fixed seed produces identical
 deterministic forms in process, over the threaded wire, through the
-process-pool executor and through the shard cluster.  This module closes
-the loop for the gateway — the **same bytes** must come back when the
-transport is the asyncio event loop with admission control in the path,
-for every executor flavour (serial, thread pool, process pool, cluster),
-and via the CLI's ``query --url`` acceptance path.
+``processes`` executor's forked replicas and through the shard cluster.
+This module closes the loop for the gateway — the **same bytes** must come
+back when the transport is the asyncio event loop with admission control
+in the path, for every executor (serial, processes, cluster), and via the
+CLI's ``query --url`` acceptance path.
 """
 
 import json
@@ -14,10 +14,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.cluster import ClusterCoordinator
 from repro.server import OctopusClient
 from repro.service import (
     CompleteRequest,
-    ConcurrentOctopusService,
     ExplorePathsRequest,
     FindInfluencersRequest,
     OctopusService,
@@ -69,8 +69,8 @@ class TestGatewayDeterminism:
     def test_process_executor_matches_in_process(
         self, backend, in_process_forms, running_gateway
     ):
-        executor = ConcurrentOctopusService(
-            OctopusService(backend), workers=2, mode="processes"
+        executor = ClusterCoordinator(
+            OctopusService(backend), shards=2, fan_out=False
         )
         with running_gateway(executor) as gateway:
             with OctopusClient(gateway.url, timeout=WIRE_TIMEOUT) as client:
@@ -80,8 +80,6 @@ class TestGatewayDeterminism:
     def test_cluster_executor_matches_in_process(
         self, backend, in_process_forms, running_gateway
     ):
-        from repro.cluster import ClusterCoordinator
-
         coordinator = ClusterCoordinator(OctopusService(backend), shards=2)
         with running_gateway(coordinator) as gateway:
             with OctopusClient(gateway.url, timeout=WIRE_TIMEOUT) as client:
@@ -186,12 +184,10 @@ class TestCLIGoldenReplay:
             rr_kernel="vectorized",
         )
         service = _load_service(arguments)
-        if executor == "cluster":
-            from repro.cluster import ClusterCoordinator
-
-            service = ClusterCoordinator(service, shards=2)
-        elif executor != "serial":
-            service = ConcurrentOctopusService(service, workers=2, mode=executor)
+        if executor != "serial":
+            service = ClusterCoordinator(
+                service, shards=2, fan_out=executor == "cluster"
+            )
         with running_gateway(service) as gateway:
             capsys.readouterr()  # drop anything buffered before the replay
             code = main(

@@ -1,23 +1,27 @@
-"""One serving semantics across the four executors.
+"""One serving semantics across the three executors.
 
-``OctopusService`` composes the middleware stack once; the thread pool,
-the process pool and the cluster coordinator only choose where the
+``OctopusService`` composes the middleware stack once; the forked
+executors (``processes``: whole-query replicas, ``cluster``: replicas plus
+targeted fan-out — both a ``ClusterCoordinator``) only choose where the
 innermost handler computes.  So for the same traffic every executor must
 admit the same requests under a rate limit, show a user middleware every
 admitted request *in the serving process*, reject the same bad request the
-same way, refuse everything once closed, and answer the same bytes.
+same way, refuse everything once closed, answer the same bytes, and leave
+no child process behind once closed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
+import os
+import signal
 
 import pytest
 
 from repro.cluster import ClusterCoordinator
 from repro.service import (
     CompleteRequest,
-    ConcurrentOctopusService,
     ExplorePathsRequest,
     FindInfluencersRequest,
     OctopusService,
@@ -28,7 +32,7 @@ from repro.service import (
 )
 from repro.snapshot import load_snapshot, save_snapshot
 
-EXECUTORS = ["serial", "threads", "processes", "cluster"]
+EXECUTORS = ["serial", "processes", "cluster"]
 
 TARGETED = TargetedInfluencersRequest("data mining", k=2, num_sets=150)
 
@@ -71,17 +75,20 @@ def serving(system, snapshot_path):
         service = OctopusService(system, **service_kwargs)
         if kind == "serial":
             yield service
-            return
-        if kind == "cluster":
-            executor = ClusterCoordinator(
-                service, shards=2, shard_timeout=20.0, snapshot_path=snapshot_path
-            )
         else:
-            executor = ConcurrentOctopusService(service, workers=2, mode=kind)
-        try:
-            yield executor
-        finally:
-            executor.close()
+            executor = ClusterCoordinator(
+                service,
+                shards=2,
+                shard_timeout=20.0,
+                snapshot_path=snapshot_path,
+                fan_out=kind == "cluster",
+            )
+            try:
+                yield executor
+            finally:
+                executor.close()
+        # close() reaps every forked replica; none is left to exit later.
+        assert multiprocessing.active_children() == []
 
     return boot
 
@@ -129,6 +136,10 @@ class TestOneServingSemantics:
                 for shard in (0, 1):  # fanned out, not routed
                     assert stats[f"cluster.shard{shard}.commands"] > 0.0
                     assert stats[f"cluster.shard{shard}.requests"] == 0.0
+            elif kind == "processes":
+                stats = executor.stats()
+                routed = [stats[f"cluster.shard{shard}.requests"] for shard in (0, 1)]
+                assert sorted(routed) == [0.0, 1.0]  # whole, on one replica
             assert seen == ["targeted"]
             first = executor.execute(CompleteRequest(prefix="da"))
             hit = executor.execute(CompleteRequest(prefix="da"))
@@ -177,3 +188,22 @@ class TestOneServingSemantics:
             assert not response.ok and not response.cache_hit
             assert response.error.code == "internal_error"
             assert response.error.message == "executor is closed"
+
+
+class TestDeadReplica:
+    def test_killed_replica_degrades_and_the_survivor_answers(
+        self, serving, reference
+    ):
+        """SIGKILL one of two ``processes`` replicas: later requests are
+        answered by the survivor with the serial bytes, and ``health()``
+        (hence ``/healthz``) reports the executor degraded."""
+        with serving("processes") as executor:
+            assert executor.execute(CompleteRequest(prefix="cl")).ok
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            later = [executor.execute(request) for request in SIX_SERVICES]
+            health = executor.health()
+        assert [deterministic_form(r) for r in later] == reference["six"]
+        assert health["degraded"] is True
+        assert (health["shards"], health["shards_alive"]) == (2, 1)

@@ -8,6 +8,7 @@ content the determinism contract promises to reproduce across transports.
 """
 
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -371,9 +372,11 @@ class TestGracefulShutdown:
         assert final["http.responses.2xx"] == 1.0
 
     def test_shutdown_is_idempotent_and_closes_executor(self, backend):
-        from repro.service import ConcurrentOctopusService
+        from repro.cluster import ClusterCoordinator
 
-        executor = ConcurrentOctopusService(OctopusService(backend), workers=2)
+        executor = ClusterCoordinator(
+            OctopusService(backend), shards=2, fan_out=False
+        )
         with self._booted(executor) as server:
             with OctopusClient(server.url, timeout=WIRE_TIMEOUT) as client:
                 assert client.execute(CompleteRequest(prefix="da")).ok
@@ -446,15 +449,16 @@ class TestServeCLI:
                 "--port",
                 "0",
                 "--executor",
-                "threads",
+                "processes",
                 "--workers",
                 "2",
             ]
         )
         output = capsys.readouterr().out
         assert code == 0
-        assert "executor=threads" in output
+        assert "executor=processes" in output
         assert "executor.workers" in output
+        assert multiprocessing.active_children() == []  # replicas reaped
 
     def test_query_without_dataset_or_url_errors(self, capsys):
         code = main(["query", '{"service": "stats"}'])

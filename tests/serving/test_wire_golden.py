@@ -4,8 +4,8 @@ The contract so far (PR 2/3): a fixed seed produces identical results on
 any execution backend at any worker count.  This module extends it one
 layer out — identical **response payloads** no matter how a request
 travels: executed in process, served by a threaded HTTP server, or served
-by a process-executor HTTP server; driven by the library client or by
-``octopus query --url``.  Comparisons are on
+by a ``processes``-executor HTTP server (forked whole-query replicas);
+driven by the library client or by ``octopus query --url``.  Comparisons are on
 :func:`~repro.service.responses.deterministic_form` — canonical JSON of
 the envelope minus wall-clock measurement fields — and must match **byte
 for byte**.
@@ -16,10 +16,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.cluster import ClusterCoordinator
 from repro.server import OctopusClient, serve_in_background
 from repro.service import (
     CompleteRequest,
-    ConcurrentOctopusService,
     ExplorePathsRequest,
     FindInfluencersRequest,
     OctopusService,
@@ -63,10 +63,7 @@ class TestThreeWayDeterminism:
     """Same seed + same workload ⇒ identical payloads on all three paths."""
 
     def test_threaded_server_matches_in_process(self, backend, in_process_forms):
-        executor = ConcurrentOctopusService(
-            OctopusService(backend), workers=4, mode="threads"
-        )
-        server = serve_in_background(executor, request_timeout=5.0)
+        server = serve_in_background(OctopusService(backend), request_timeout=5.0)
         try:
             with OctopusClient(server.url, timeout=WIRE_TIMEOUT) as client:
                 served = client.execute_batch(GOLDEN_WORKLOAD)
@@ -77,8 +74,8 @@ class TestThreeWayDeterminism:
     def test_process_executor_server_matches_in_process(
         self, backend, in_process_forms
     ):
-        executor = ConcurrentOctopusService(
-            OctopusService(backend), workers=2, mode="processes"
+        executor = ClusterCoordinator(
+            OctopusService(backend), shards=2, fan_out=False
         )
         server = serve_in_background(executor, request_timeout=5.0)
         try:
@@ -159,9 +156,7 @@ class TestCLIGoldenReplay:
         assert code == 0
         return json.loads(stdout.getvalue())
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "threads", "processes", "cluster"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "processes", "cluster"])
     def test_remote_replay_is_byte_identical(
         self, dataset_dir, workload_file, local_replay, executor, capsys
     ):
@@ -181,13 +176,9 @@ class TestCLIGoldenReplay:
             rr_kernel="vectorized",
         )
         service = _load_service(arguments)
-        if executor == "cluster":
-            from repro.cluster import ClusterCoordinator
-
-            service = ClusterCoordinator(service, shards=2)
-        elif executor != "serial":
-            service = ConcurrentOctopusService(
-                service, workers=2, mode=executor
+        if executor != "serial":
+            service = ClusterCoordinator(
+                service, shards=2, fan_out=executor == "cluster"
             )
         server = serve_in_background(service, request_timeout=5.0)
         try:

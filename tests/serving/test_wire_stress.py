@@ -9,17 +9,17 @@ The serving invariants under fire:
 * **counter consistency**: every exchange lands in exactly one counter
   bucket, ``cache.hits + cache.misses`` equals the cacheable requests that
   reached the cache, per-service request/error totals add up exactly;
-* **in-flight de-duplication observable over the wire**: simultaneous
-  identical requests against a concurrent-executor server share one
+* **de-duplication observable over the wire**: identical requests in one
+  ``/batch`` against a ``processes``-executor server share one
   computation.
 """
 
 import threading
 
+from repro.cluster import ClusterCoordinator
 from repro.server import OctopusClient
 from repro.service import (
     CompleteRequest,
-    ConcurrentOctopusService,
     OctopusService,
     RadarRequest,
     StatsRequest,
@@ -140,67 +140,21 @@ class TestStress:
     def test_inflight_deduplication_observable_over_the_wire(
         self, backend, running_server
     ):
-        """Simultaneous identical HTTP requests share one computation."""
-        service = OctopusService(backend)
-        calls = []
-        entered = threading.Event()
-        release = threading.Event()
-        original = service._handlers["complete"]
-
-        def slow(request):
-            calls.append(request)
-            entered.set()
-            assert release.wait(timeout=WIRE_TIMEOUT)
-            return original(request)
-
-        service._handlers["complete"] = slow
-        executor = ConcurrentOctopusService(service, workers=4)
-        try:
-            with running_server(executor) as server:
-                client = OctopusClient(server.url, timeout=WIRE_TIMEOUT)
-                body = CompleteRequest(prefix="da", limit=5).to_json()
-                results = []
-                lock = threading.Lock()
-
-                def fire() -> None:
-                    status, payload = client._request("POST", "/query", body)
-                    with lock:
-                        results.append((status, payload))
-
-                threads = [threading.Thread(target=fire) for _ in range(5)]
-                threads[0].start()
-                assert entered.wait(timeout=WIRE_TIMEOUT)  # leader computing
-                for thread in threads[1:]:
-                    thread.start()
-                # Followers must be *in flight* before the leader finishes
-                # for de-duplication to be observable: wait until the
-                # executor has registered followers attached to the
-                # leader's computation, then release it.
-                import time
-
-                deadline = time.monotonic() + WIRE_TIMEOUT
-                while time.monotonic() < deadline:
-                    if executor.stats()["executor.shared_inflight"] >= 4.0:
-                        break
-                    time.sleep(0.02)
-                release.set()
-                for thread in threads:
-                    thread.join(timeout=WIRE_TIMEOUT)
-                assert not any(thread.is_alive() for thread in threads)
-                stats = executor.stats()
-                client.close()
-        finally:
-            service._handlers["complete"] = original
-            release.set()
-            executor.close()
-
-        assert len(results) == 5
-        assert all(status == 200 for status, _payload in results)
-        payloads = [payload["payload"] for _status, payload in results]
+        """Identical requests in flight together — one ``/batch`` — share
+        one computation on the ``processes`` executor's replicas."""
+        executor = ClusterCoordinator(
+            OctopusService(backend), shards=2, fan_out=False
+        )
+        request = CompleteRequest(prefix="da", limit=5)
+        with running_server(executor) as server:
+            with OctopusClient(server.url, timeout=WIRE_TIMEOUT) as client:
+                responses = client.execute_batch([request] * 5)
+            computed = sum(
+                entry["shard.requests"] for entry in executor.shard_stats()
+            )
+        assert all(response.ok for response in responses)
+        payloads = [response.payload for response in responses]
         assert all(payload == payloads[0] for payload in payloads)
-        # One computation; every other response shared it in flight or hit
-        # the shared cache after the leader landed.
-        assert len(calls) == 1
-        assert stats["executor.shared_inflight"] >= 1.0
-        hits = sum(payload["cache_hit"] for _status, payload in results)
-        assert hits == 4
+        # One computation on one replica; every duplicate shared it.
+        assert computed == 1.0
+        assert sum(response.cache_hit for response in responses) == 4

@@ -44,11 +44,13 @@ class TestParser:
 
     def test_serve_args(self):
         arguments = build_parser().parse_args(
-            ["serve", "dir", "--port", "0", "--executor", "threads"]
+            ["serve", "dir", "--port", "0", "--executor", "processes"]
         )
-        assert arguments.executor == "threads"
+        assert arguments.executor == "processes"
         assert arguments.port == 0
         assert arguments.host == "127.0.0.1"
+        with pytest.raises(SystemExit):  # the threads executor is gone
+            build_parser().parse_args(["serve", "dir", "--executor", "threads"])
 
     def test_query_url_without_dataset(self):
         """With --url the dataset positional may be omitted entirely."""

@@ -144,3 +144,18 @@ def test_top_level_server_names():
         OctopusTransportError,
         serve_in_background,
     )
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro", "ConcurrentOctopusService"),
+        ("repro.service", "ConcurrentOctopusService"),
+    ],
+)
+def test_retired_executor_names_are_gone(module, name):
+    """The thread/process pool executor was folded into the cluster's
+    forked replicas (``ClusterCoordinator(fan_out=False)``)."""
+    assert not hasattr(importlib.import_module(module), name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.service.concurrent")

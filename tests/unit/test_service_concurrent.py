@@ -1,23 +1,27 @@
-"""Unit tests for ConcurrentOctopusService (thread and process modes).
+"""Unit tests for the forked-replica executor behind ``--executor processes``.
 
-The sequential-equivalence matrix lives in ``test_service_dispatcher.py``
-(which runs against both executors); this module covers what is *specific*
-to concurrency — in-flight de-duplication, failure isolation among
-duplicates, the process-mode parent cache/metrics, and lifecycle.
+:class:`~repro.cluster.ClusterCoordinator` with ``fan_out=False`` routes
+every request whole to one forked replica.  The sequential-equivalence
+matrix lives in ``test_service_dispatcher.py`` (which runs against both
+this executor and the bare dispatcher); this module covers what is
+*specific* to serving from replicas — duplicate sharing and failure
+isolation among duplicates, the parent-side cache and metrics, concurrent
+clients, and lifecycle.
 """
 
 import threading
 
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.core.octopus import Octopus, OctopusConfig
 from repro.service import (
     CompleteRequest,
-    ConcurrentOctopusService,
     FindInfluencersRequest,
     OctopusService,
     StatsRequest,
     TargetedInfluencersRequest,
+    deterministic_form,
 )
 from repro.utils.validation import ValidationError
 
@@ -36,87 +40,72 @@ def backend(citation_dataset):
     )
 
 
+def replicas(service, workers=2, **kwargs):
+    """The ``--executor processes`` executor over *service*."""
+    return ClusterCoordinator(
+        service, shards=workers, shard_timeout=20.0, fan_out=False, **kwargs
+    )
+
+
+def replica_requests(executor) -> float:
+    """Whole requests computed on the replicas so far."""
+    return sum(entry["shard.requests"] for entry in executor.shard_stats())
+
+
 class TestConstruction:
     def test_wraps_bare_octopus_with_kwargs(self, backend):
-        with ConcurrentOctopusService(
-            backend, workers=2, cache_capacity=7
-        ) as executor:
+        with replicas(backend, cache_capacity=7) as executor:
             assert executor.cache.capacity == 7
             assert executor.backend is backend
 
     def test_rejects_kwargs_with_existing_service(self, backend):
         service = OctopusService(backend)
         with pytest.raises(ValidationError):
-            ConcurrentOctopusService(service, cache_capacity=7)
-
-    def test_rejects_unknown_mode(self, backend):
-        with pytest.raises(ValidationError):
-            ConcurrentOctopusService(backend, mode="fibers")
+            replicas(service, cache_capacity=7)
 
     def test_rejects_non_service(self):
         with pytest.raises(ValidationError):
-            ConcurrentOctopusService(object())
+            replicas(object())
 
     def test_rejects_nonpositive_workers(self, backend):
         with pytest.raises(ValidationError):
-            ConcurrentOctopusService(backend, workers=0)
+            replicas(backend, workers=0)
 
 
 class TestInFlightDeduplication:
+    """Duplicates in flight together — one batch — share one computation."""
+
     def test_duplicates_share_one_computation(self, backend):
-        service = OctopusService(backend)
-        calls = []
-        gate = threading.Event()
-        original = service._handlers["complete"]
-
-        def slow(request):
-            calls.append(request)
-            gate.wait(timeout=5.0)
-            return original(request)
-
-        service._handlers["complete"] = slow
-        try:
-            with ConcurrentOctopusService(service, workers=4) as executor:
-                futures = [
-                    executor.submit(CompleteRequest(prefix="da"))
-                    for _ in range(4)
-                ]
-                gate.set()
-                responses = [future.result(timeout=10) for future in futures]
-        finally:
-            service._handlers["complete"] = original
-        assert len(calls) == 1  # one leader computed
+        with replicas(OctopusService(backend)) as executor:
+            responses = executor.execute_batch(
+                [CompleteRequest(prefix="da")] * 4
+            )
+            assert replica_requests(executor) == 1.0  # one leader computed
         assert all(response.ok for response in responses)
         assert sum(response.cache_hit for response in responses) == 3
         assert all(
             response.payload == responses[0].payload for response in responses
         )
-        assert executor.stats()["executor.shared_inflight"] == 3.0
 
     def test_leader_failure_not_shared(self, backend):
         service = OctopusService(backend)
-        calls = []
-        gate = threading.Event()
+        original = service._handlers["complete"]
 
         def broken(request):
-            calls.append(request)
-            gate.wait(timeout=5.0)
             raise RuntimeError("index on fire")
 
-        original = service._handlers["complete"]
+        # Patched before the fork, so every replica inherits the fault.
         service._handlers["complete"] = broken
         try:
-            with ConcurrentOctopusService(service, workers=4) as executor:
-                futures = [
-                    executor.submit(CompleteRequest(prefix="da"))
-                    for _ in range(3)
-                ]
-                gate.set()
-                responses = [future.result(timeout=10) for future in futures]
+            with replicas(service) as executor:
+                responses = executor.execute_batch(
+                    [CompleteRequest(prefix="da")] * 3
+                )
+                computed = replica_requests(executor)
         finally:
             service._handlers["complete"] = original
         # every duplicate recomputed for itself; nobody was handed a failure
-        assert len(calls) == 3
+        assert computed == 3.0
         assert all(not response.ok for response in responses)
         assert all(not response.cache_hit for response in responses)
         assert all(
@@ -124,14 +113,13 @@ class TestInFlightDeduplication:
         )
 
     def test_uncacheable_requests_never_deduplicate(self, backend):
-        with ConcurrentOctopusService(backend, workers=2) as executor:
-            first = executor.execute(StatsRequest())
-            second = executor.execute(StatsRequest())
+        with replicas(backend) as executor:
+            first, second = executor.execute_batch([StatsRequest()] * 2)
             assert first.ok and second.ok
-            assert executor.stats()["executor.shared_inflight"] == 0.0
+            assert not first.cache_hit and not second.cache_hit
 
     def test_concurrent_submissions_from_many_threads(self, backend):
-        with ConcurrentOctopusService(backend, workers=4) as executor:
+        with replicas(backend) as executor:
             request = FindInfluencersRequest("data mining", k=2)
             responses = []
             lock = threading.Lock()
@@ -146,20 +134,20 @@ class TestInFlightDeduplication:
                 thread.start()
             for thread in pool:
                 thread.join()
+            assert len(responses) == 6
             assert all(response.ok for response in responses)
-            payloads = [response.payload for response in responses]
-            assert all(payload == payloads[0] for payload in payloads)
-            # exactly one computation: everyone else shared in flight or hit
-            # the LRU cache afterwards
-            assert sum(not response.cache_hit for response in responses) == 1
+            forms = {deterministic_form(response) for response in responses}
+            assert len(forms) == 1
+            # Every client was answered by a replica or by the parent cache.
+            computed = replica_requests(executor)
+            hits = sum(response.cache_hit for response in responses)
+            assert computed + hits == 6.0
 
 
 class TestProcessMode:
     def test_executes_and_caches_at_the_parent(self, backend):
         service = OctopusService(backend)
-        with ConcurrentOctopusService(
-            service, workers=2, mode="processes"
-        ) as executor:
+        with replicas(service) as executor:
             request = TargetedInfluencersRequest(
                 keywords="data mining", k=2, num_sets=150
             )
@@ -174,9 +162,7 @@ class TestProcessMode:
             assert snapshot["service.targeted.cache_hits"] == 1.0
 
     def test_batch_preserves_order_and_isolates_failures(self, backend):
-        with ConcurrentOctopusService(
-            backend, workers=2, mode="processes"
-        ) as executor:
+        with replicas(backend) as executor:
             responses = executor.execute_batch(
                 [
                     CompleteRequest(prefix="da"),
@@ -195,14 +181,13 @@ class TestProcessMode:
     def test_parent_cache_clear_reaches_workers(self, backend):
         """Forked workers must not serve results the parent has dropped.
 
-        Worker replicas have their result cache disabled at pool init, so
-        after a parent-side ``cache.clear()`` a repeated query really
-        recomputes instead of coming back as a stale worker-cache hit.
+        Replicas run only the innermost handler — their inherited result
+        cache is never consulted — so after a parent-side ``cache.clear()``
+        a repeated query really recomputes instead of coming back as a
+        stale replica-cache hit.
         """
         service = OctopusService(backend)
-        with ConcurrentOctopusService(
-            service, workers=1, mode="processes"
-        ) as executor:
+        with replicas(service, workers=1) as executor:
             request = TargetedInfluencersRequest(
                 keywords="data mining", k=2, num_sets=150
             )
@@ -215,19 +200,24 @@ class TestProcessMode:
             assert again.payload["seeds"] == first.payload["seeds"]
 
     def test_stats_report_mode(self, backend):
-        with ConcurrentOctopusService(
-            backend, workers=2, mode="processes"
-        ) as executor:
+        with replicas(backend) as executor:
             executor.execute(CompleteRequest(prefix="da"))
             stats = executor.stats()
-            assert stats["executor.process_mode"] == 1.0
+            assert stats["executor.kind"] == "processes"
             assert stats["executor.workers"] == 2.0
+            assert stats["executor.payload_transport"] == "pickle"
+            for removed in (
+                "executor.inflight",
+                "executor.shared_inflight",
+                "executor.process_mode",
+            ):
+                assert removed not in stats
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("mode", ["threads", "processes"])
+    @pytest.mark.parametrize("mode", ["processes"])
     def test_close_is_idempotent(self, backend, mode):
-        executor = ConcurrentOctopusService(backend, workers=2, mode=mode)
+        executor = replicas(backend)
         request = CompleteRequest(prefix="da")
         assert executor.execute(request).ok
         executor.close()
@@ -254,7 +244,7 @@ class TestLifecycle:
         workload = QueryWorkload.generate(
             service, WorkloadConfig(num_queries=12, seed=5)
         )
-        with ConcurrentOctopusService(service, workers=2) as executor:
+        with replicas(service) as executor:
             report = run_workload(executor, workload)
         assert report.total_queries == 12
         answered = sum(
@@ -264,17 +254,3 @@ class TestLifecycle:
         )
         errors = report.per_service.get("errors", {}).get("count", 0)
         assert answered + errors == 12
-
-    def test_run_workload_workers_parameter(self, backend):
-        from repro.engine.workload import (
-            QueryWorkload,
-            WorkloadConfig,
-            run_workload,
-        )
-
-        service = OctopusService(backend)
-        workload = QueryWorkload.generate(
-            service, WorkloadConfig(num_queries=10, seed=6)
-        )
-        report = run_workload(service, workload, workers=3)
-        assert report.total_queries == 10

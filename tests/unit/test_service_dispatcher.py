@@ -6,18 +6,19 @@ execution matches sequential execution, and middleware compose in the
 documented order.
 
 The whole matrix runs twice: once against the sequential dispatcher and
-once against :class:`ConcurrentOctopusService` (thread mode), which must
-be a drop-in executor with identical envelope semantics.
+once against the forked-replica executor (``--executor processes``, a
+:class:`~repro.cluster.ClusterCoordinator` without fan-out), which must be
+a drop-in executor with identical envelope semantics.
 """
 
 import json
 
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.core.octopus import Octopus, OctopusConfig
 from repro.service import (
     CompleteRequest,
-    ConcurrentOctopusService,
     ExplorePathsRequest,
     FindInfluencersRequest,
     OctopusService,
@@ -48,7 +49,9 @@ def service(request, backend):
     if request.param == "sequential":
         yield OctopusService(backend)
         return
-    executor = ConcurrentOctopusService(OctopusService(backend), workers=2)
+    executor = ClusterCoordinator(
+        OctopusService(backend), shards=2, shard_timeout=20.0, fan_out=False
+    )
     yield executor
     executor.close()
 
