@@ -19,7 +19,7 @@ spread of every method's seeds under one shared judge).
 import numpy as np
 import pytest
 
-from repro.im.greedy import greedy_im
+from reference.greedy import greedy_im
 from repro.im.ris import recommended_num_sets, ris_im
 from repro.propagation.estimators import MonteCarloSpreadEstimator
 

@@ -12,19 +12,17 @@ maximization finds complementary seeds, rankings find redundant ones.
 
 import pytest
 
-from repro.im.greedy import greedy_im
-from repro.im.heuristics import (
+from reference.estimators import RRSetSpreadEstimator
+from reference.greedy import greedy_im
+from reference.heuristics import (
     degree_discount_seeds,
     degree_seeds,
     pagerank_seeds,
     random_seeds,
 )
-from repro.im.mia import mia_im
+from reference.mia import mia_im
 from repro.im.ris import ris_im
-from repro.propagation.estimators import (
-    MonteCarloSpreadEstimator,
-    RRSetSpreadEstimator,
-)
+from repro.propagation.estimators import MonteCarloSpreadEstimator
 
 K = 5
 

@@ -1,41 +1,44 @@
 #!/usr/bin/env python
 """Online serving through the typed service API: envelopes, batching, cache.
 
-Demonstrates the "online influence analysis ... instant results" feature
-under realistic conditions, all through :class:`repro.OctopusService` — the
-request/response front door every client shares:
+Demonstrates the "online influence analysis ... instant results" feature,
+all through :class:`repro.OctopusService` — the request/response front door
+every client shares:
 
 1. a single typed request and its JSON wire form (log-replayable),
-2. a Zipf-skewed mixed workload of request objects, cold vs. warm cache,
-3. batch execution de-duplicating repeated queries,
-4. the same workload on forked whole-query replicas
+2. batch execution de-duplicating repeated queries,
+3. a fixed list of mixed requests on forked whole-query replicas
    (:class:`repro.ClusterCoordinator` with ``fan_out=False``, i.e.
    ``octopus serve --executor processes`` — same envelopes, one cache and
    one set of metrics in the serving process),
-5. the serving metrics the middleware stack collects for free,
-6. the model-refresh path — periodic EM re-fits absorbed by the
-   influencer index without re-sampling its sketches.
+4. the serving metrics the middleware stack collects for free.
 
 Run:  python examples/online_serving.py
 """
 
-import numpy as np
-
 from repro import (
     CitationNetworkGenerator,
     ClusterCoordinator,
+    CompleteRequest,
+    ExplorePathsRequest,
     FindInfluencersRequest,
     Octopus,
     OctopusConfig,
     OctopusService,
-    QueryWorkload,
     ServiceResponse,
-    WorkloadConfig,
-    run_workload,
+    SuggestKeywordsRequest,
 )
-from repro.core.dynamic import DynamicInfluenceEngine
-from repro.topics.em import EMConfig, TICLearner
-from repro.utils.timer import Timer
+from repro.service import deterministic_form
+
+#: Mixed requests; the repeated query comes back from the cache.
+REQUESTS = [
+    FindInfluencersRequest("data mining", k=5),
+    FindInfluencersRequest("clustering", k=5),
+    SuggestKeywordsRequest(user=0, k=2),
+    ExplorePathsRequest(user=0, threshold=0.05),
+    CompleteRequest(prefix="da"),
+    FindInfluencersRequest("data mining", k=5),
+]
 
 
 def main() -> None:
@@ -67,19 +70,6 @@ def main() -> None:
     replayed = ServiceResponse.from_json(response.to_json())
     assert replayed == response  # responses round-trip losslessly
 
-    print("\n== mixed query workload (Zipf-skewed, 120 queries) ==")
-    workload = QueryWorkload.generate(
-        service, WorkloadConfig(num_queries=120, zipf_s=1.5, seed=63)
-    )
-    print("\ncold cache:")
-    cold = run_workload(service, workload)
-    for line in cold.lines():
-        print("  " + line)
-    print("\nwarm cache (same workload again):")
-    warm = run_workload(service, workload)
-    for line in warm.lines():
-        print("  " + line)
-
     print("\n== batch execution (duplicates shared, input order kept) ==")
     batch = [
         FindInfluencersRequest("data mining", k=5),
@@ -92,46 +82,20 @@ def main() -> None:
               f"cache_hit={resp.cache_hit} {resp.latency_ms:.2f} ms")
 
     print("\n== forked replicas (2 whole-query replicas, same envelopes) ==")
+    local = [deterministic_form(service.execute(req)) for req in REQUESTS]
     service.cache.clear()
     with ClusterCoordinator(service, shards=2, fan_out=False) as executor:
-        replicated = run_workload(executor, workload)
-        for line in replicated.lines():
-            print("  " + line)
+        for req, expected in zip(REQUESTS, local):
+            resp = executor.execute(req)
+            assert deterministic_form(resp) == expected  # same bytes
+            print(f"  {req.service:<12s} ok={resp.ok} "
+                  f"cache_hit={resp.cache_hit} {resp.latency_ms:.2f} ms")
         alive = executor.health()["shards_alive"]
         print(f"  replicas alive: {alive} of 2")
 
     print("\n== serving metrics (collected by the middleware stack) ==")
     for key, value in sorted(service.metrics.snapshot().items()):
         print(f"  {key:<40s} {value:.3f}")
-
-    print("\n== streaming model refresh ==")
-    engine = DynamicInfluenceEngine(
-        dataset.true_edge_weights, num_sketches=600, seed=64
-    )
-    gamma = np.full(8, 1.0 / 8)
-    star = system.find_influencers("data mining", 1).seeds[0]
-    print(f"initial spread of {dataset.graph.label_of(star)}: "
-          f"{engine.estimate_user_spread(star, gamma):.1f}")
-
-    chunks = np.array_split(np.arange(len(dataset.items)), 3)
-    for round_index, chunk in enumerate(chunks, start=1):
-        items = [dataset.items[i] for i in chunk]
-        learner = TICLearner(
-            dataset.graph,
-            dataset.vocabulary,
-            EMConfig(num_topics=8, max_iterations=5, seed=0),
-        )
-        fitted = learner.fit(items)
-        with Timer() as timer:
-            absorbed = engine.refresh(fitted.edge_weights)
-        spread = engine.estimate_user_spread(star, gamma)
-        print(f"refit #{round_index}: refresh "
-              f"{'absorbed in place' if absorbed else 'rebuilt sketches'} "
-              f"in {timer.elapsed * 1e3:.1f} ms; spread now {spread:.1f}")
-
-    stats = engine.statistics()
-    print(f"\nrefreshes absorbed: {stats['refreshes_absorbed']:.0f}, "
-          f"rebuilt: {stats['refreshes_rebuilt']:.0f}")
 
 
 if __name__ == "__main__":

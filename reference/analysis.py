@@ -2,8 +2,8 @@
 
 PageRank provides the "individual influence ranking" strawman that Scenario 1
 contrasts against influence maximization (IM finds *complementary* seeds,
-ranking finds redundant ones); components and degree histograms are used by
-the dataset generators' sanity checks and the benchmark reports.
+ranking finds redundant ones); components and degree histograms describe a
+generated graph's shape.
 """
 
 from __future__ import annotations

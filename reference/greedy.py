@@ -14,9 +14,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from reference.estimators import SpreadEstimator
 from repro.graph.digraph import SocialGraph
 from repro.im.base import IMResult
-from repro.propagation.estimators import MonteCarloSpreadEstimator, SpreadEstimator
+from repro.propagation.estimators import MonteCarloSpreadEstimator
 from repro.utils.heap import LazyGreedyQueue
 from repro.utils.rng import SeedLike
 from repro.utils.validation import ValidationError, check_positive

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.graph.analysis import pagerank
+from reference.analysis import pagerank
 from repro.graph.digraph import SocialGraph
 from repro.im.base import IMResult
 from repro.utils.rng import SeedLike, as_generator

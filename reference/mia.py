@@ -2,9 +2,11 @@
 
 MIA restricts influence to the highest-probability path between each node
 pair and ignores paths below a threshold θ, turning spread computation into
-tree dynamic programming.  OCTOPUS uses MIA twice: as a fast deterministic
-spread oracle inside the best-effort keyword IM, and as the structure behind
-influential-path visualisation (Section II-E, :mod:`repro.core.paths`).
+tree dynamic programming.  Benchmark E7 runs :func:`mia_im` as a seed
+selection baseline, and the spread-property and cross-validation tests use
+:class:`MIAModel` as an independent reference; the served path explorer
+(Section II-E, :mod:`repro.core.paths`) walks the same max-probability paths
+through :func:`repro.graph.traversal.max_probability_paths` directly.
 """
 
 from __future__ import annotations

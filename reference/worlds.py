@@ -1,5 +1,5 @@
-"""Fixed live-edge possible worlds: the coupling device behind the
-personalized-keyword-suggestion estimator.
+"""Fixed live-edge possible worlds, one threshold array per world: an
+independent forward-IC reference for the spread tests.
 
 A *world* assigns each edge a uniform threshold ``θ_e``; under a query topic
 distribution γ the edge is *live* iff ``θ_e ≤ pp_e(γ)``.  Since
@@ -7,8 +7,8 @@ distribution γ the edge is *live* iff ``θ_e ≤ pp_e(γ)``.  Since
 cascade — but crucially the thresholds are shared across all γ, so spreads
 under different keyword sets are *coupled*: if ``pp_e(γ) ≤ pp_e(γ′)`` on
 every edge then the live-edge graph under γ is a subgraph of the one under
-γ′.  This monotone coupling is what makes lazy greedy over keyword sets
-consistent and what the influencer index (Section II-D) exploits.
+γ′.  The served engine, :class:`repro.propagation.ic.CascadeWorlds`, draws
+its coins from a counter-keyed hash instead; the tests compare the two.
 """
 
 from __future__ import annotations

@@ -27,14 +27,16 @@ Quickstart::
     # Requests and responses round-trip through JSON for logging/replay:
     wire = response.to_json()
 
-Workloads (``repro.engine``) generate Zipf-skewed streams of typed requests
-and report latency percentiles through the same service layer, and
 ``repro.server`` puts the envelopes on a socket: an HTTP server
 (``octopus serve``) plus the :class:`~repro.server.OctopusClient` stub that
 makes a remote server indistinguishable from a local service.
 ``repro.cluster`` shards the system across long-lived worker processes
 behind the same executor surface (``octopus serve --executor cluster``);
 shard count never changes answer bytes.
+
+The package holds only what ``octopus serve`` and the CLI run.  The paper's
+seed-selection baselines and the test-only reference engines live in the
+repository's unshipped ``reference/`` package.
 """
 
 from repro.backend import (
@@ -49,12 +51,6 @@ from repro.core.octopus import Octopus, OctopusConfig
 from repro.core.query import InfluencerResult, KeywordQuery, KeywordSuggestionResult
 from repro.datasets.citation import CitationNetworkGenerator
 from repro.datasets.social import SocialNetworkGenerator
-from repro.engine.workload import (
-    LatencyReport,
-    QueryWorkload,
-    WorkloadConfig,
-    run_workload,
-)
 from repro.gateway import GatewayConfig, OctopusAsyncGateway, start_gateway
 from repro.graph.digraph import GraphBuilder, SocialGraph
 from repro.server import (
@@ -118,10 +114,6 @@ __all__ = [
     "KeywordQuery",
     "InfluencerResult",
     "KeywordSuggestionResult",
-    "WorkloadConfig",
-    "QueryWorkload",
-    "LatencyReport",
-    "run_workload",
     "CitationNetworkGenerator",
     "SocialNetworkGenerator",
     "SocialGraph",

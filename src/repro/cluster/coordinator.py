@@ -256,7 +256,6 @@ class _ShardHandle:
         self,
         command: Any,
         timeout: float,
-        lock_timeout: Optional[float] = None,
         *,
         held: bool = False,
     ) -> Any:
@@ -265,11 +264,10 @@ class _ShardHandle:
         With *held* the caller already owns the pipe lock; it is released
         here either way.
         """
-        wait = lock_timeout if lock_timeout is not None else timeout
-        if not held and not self.lock.acquire(timeout=wait):
+        if not held and not self.lock.acquire(timeout=timeout):
             raise ShardTimeoutError(
                 f"shard {self.shard_id} is busy (lock not free within "
-                f"{wait:.1f}s)"
+                f"{timeout:.1f}s)"
             )
         try:
             sequence = self.send_locked(command)
@@ -281,7 +279,7 @@ class _ShardHandle:
         """Graceful stop: ask, join, then terminate if it lingers."""
         if self._alive and self.process.is_alive():
             try:
-                self.call(Shutdown(), timeout=timeout, lock_timeout=timeout)
+                self.call(Shutdown(), timeout=timeout)
             except ShardError:
                 pass  # we are tearing it down either way
         self._alive = False
@@ -409,10 +407,11 @@ class ClusterCoordinator:
         """Coordinator + per-shard statistics, self-describing.
 
         ``executor.*`` identifies the executor (kind, shard count,
-        liveness); ``cluster.shard<i>.*`` carries per-shard counters
-        (skipped, not blocked on, when a shard is busy with a long
-        exchange).  ``service.*`` / ``cache.*`` are the serving stack's
-        own counters (every request is served here).  When shard replicas
+        liveness); ``cluster.shard<i>.*`` carries per-shard counters.
+        ``cluster.shard<i>.busy`` is 1.0 when the shard's pipe is in use;
+        that shard's counters are then skipped, never waited for.
+        ``service.*`` / ``cache.*`` are the serving stack's own counters
+        (every request is served here).  When shard replicas
         have served routed traffic, their per-service latency histograms are
         merged key-wise (bucket counts sum exactly; percentiles recompute over
         the merged distribution) and re-emitted under
@@ -435,14 +434,18 @@ class ClusterCoordinator:
                 continue
             alive += 1
             stats[f"{prefix}.alive"] = 1.0
+            # Never wait behind a long exchange: a shard whose pipe is in
+            # use reports itself busy instead of its counters.
+            busy = not handle.lock.acquire(blocking=False)
+            stats[f"{prefix}.busy"] = float(busy)
+            if busy:
+                continue
             try:
                 info = handle.call(
-                    ShardStatsCmd(),
-                    timeout=min(self.shard_timeout, 5.0),
-                    lock_timeout=1.0,
+                    ShardStatsCmd(), timeout=min(self.shard_timeout, 5.0), held=True
                 )
             except ShardError:
-                continue  # busy or just died; liveness above still stands
+                continue  # just died; liveness above still stands
             stats[f"{prefix}.commands"] = float(info["shard.commands"])
             stats[f"{prefix}.requests"] = float(info["shard.requests"])
             shard_snapshots.append(info)

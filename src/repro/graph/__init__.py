@@ -1,10 +1,5 @@
-"""Social-graph substrate: CSR digraph, generators, traversal, analysis."""
+"""Social-graph substrate: CSR digraph, generators, traversal, edge-list I/O."""
 
-from repro.graph.analysis import (
-    degree_histogram,
-    pagerank,
-    weakly_connected_components,
-)
 from repro.graph.digraph import GraphBuilder, SocialGraph
 from repro.graph.generators import (
     citation_dag,
@@ -26,7 +21,4 @@ __all__ = [
     "write_edge_list",
     "bfs_reachable",
     "max_probability_paths",
-    "pagerank",
-    "weakly_connected_components",
-    "degree_histogram",
 ]

@@ -1,33 +1,18 @@
-"""Influence-maximization algorithms (the baselines OCTOPUS builds on).
+"""Influence-maximization building blocks the served system runs on.
 
-* :func:`greedy_im` — lazy (CELF) greedy with a pluggable spread estimator.
+* :class:`~repro.im.base.IMResult` — the result type of every IM answer.
 * :func:`ris_im` — reverse-reachable-set IM in the TIM/IMM family [8].
-* :mod:`repro.im.mia` — the maximum-influence-arborescence model [4].
-* :mod:`repro.im.heuristics` — degree / degree-discount / PageRank / random.
 
-All return an :class:`~repro.im.base.IMResult`.
+The paper's baselines (CELF greedy, MIA, degree / degree-discount /
+PageRank / random) are not served; they live in the repository's
+``reference`` package, next to the benchmarks and tests that run them.
 """
 
 from repro.im.base import IMResult
-from repro.im.greedy import greedy_im
-from repro.im.heuristics import (
-    degree_discount_seeds,
-    degree_seeds,
-    pagerank_seeds,
-    random_seeds,
-)
-from repro.im.mia import MIAModel, mia_im
 from repro.im.ris import recommended_num_sets, ris_im
 
 __all__ = [
     "IMResult",
-    "greedy_im",
     "ris_im",
     "recommended_num_sets",
-    "MIAModel",
-    "mia_im",
-    "degree_seeds",
-    "degree_discount_seeds",
-    "pagerank_seeds",
-    "random_seeds",
 ]

@@ -1,18 +1,15 @@
 """Influence propagation under the (topic-aware) independent cascade model.
 
-Provides forward Monte-Carlo simulation, fixed live-edge possible worlds
-(shared-threshold coupling across topic distributions), reverse-reachable-set
-sampling [8] on pluggable kernels (frontier-batched vectorized /
-chunk-batched native with an optional compiled core) with packed flat-array
-storage, and the spread estimators built on them.
+Provides forward Monte-Carlo estimation on fixed, counter-keyed live-edge
+worlds (:class:`~repro.propagation.ic.CascadeWorlds`, the one forward
+engine), reverse-reachable-set sampling [8] on pluggable kernels
+(frontier-batched vectorized / chunk-batched native with an optional
+compiled core) with packed flat-array storage, and the Monte-Carlo spread
+oracle built on the worlds.
 """
 
-from repro.propagation.estimators import (
-    MonteCarloSpreadEstimator,
-    RRSetSpreadEstimator,
-    SpreadEstimator,
-)
-from repro.propagation.ic import IndependentCascade, simulate_cascade
+from repro.propagation.estimators import MonteCarloSpreadEstimator
+from repro.propagation.ic import IndependentCascade
 from repro.propagation.kernels import (
     DEFAULT_RR_KERNEL,
     RR_KERNELS,
@@ -25,18 +22,10 @@ from repro.propagation.native import (
     sample_rr_chunk,
 )
 from repro.propagation.packed import PackedRRSets
-from repro.propagation.rrsets import (
-    RRSetCollection,
-    generate_rr_set,
-    sample_packed_rr_sets,
-)
-from repro.propagation.worlds import LiveEdgeWorld, WorldEnsemble
+from repro.propagation.rrsets import RRSetCollection, sample_packed_rr_sets
 
 __all__ = [
     "IndependentCascade",
-    "simulate_cascade",
-    "LiveEdgeWorld",
-    "WorldEnsemble",
     "RR_KERNELS",
     "DEFAULT_RR_KERNEL",
     "HAVE_COMPILED",
@@ -46,9 +35,6 @@ __all__ = [
     "sample_rr_chunk",
     "PackedRRSets",
     "RRSetCollection",
-    "generate_rr_set",
     "sample_packed_rr_sets",
-    "SpreadEstimator",
     "MonteCarloSpreadEstimator",
-    "RRSetSpreadEstimator",
 ]

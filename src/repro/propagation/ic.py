@@ -5,27 +5,24 @@ distribution γ collapses the per-edge topic weights to scalars, to the
 classical IC model: every newly activated node gets one chance to activate
 each out-neighbour with the edge's probability.
 
-Two forward engines live here: :func:`simulate_cascade` runs one cascade
-(and can record its activation edges), and :class:`CascadeWorlds` runs a
-seed set's cascade in R fixed live-edge worlds at once — the Monte-Carlo
+The one forward engine lives here: :class:`CascadeWorlds` runs a seed
+set's cascade in R fixed live-edge worlds at once, and the Monte-Carlo
 estimators (:meth:`IndependentCascade.estimate_spread`, the ``mc`` spread
 oracle) are counts over those worlds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.digraph import SocialGraph
-from repro.propagation.kernels import gather_csr_slices
 from repro.propagation.native import splitmix64
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError, check_node_id, check_positive
 
-__all__ = ["simulate_cascade", "CascadeTrace", "CascadeWorlds", "IndependentCascade"]
+__all__ = ["CascadeWorlds", "IndependentCascade"]
 
 #: Queued pairs and gathered edges per step of :class:`CascadeWorlds`:
 #: they bound the step's temporaries to a few arrays of 8-byte words.
@@ -34,90 +31,6 @@ _STEP_EDGES = 4096
 
 #: Pair marks of :class:`CascadeWorlds` (0 = unmarked).
 _KEPT, _TENTATIVE = 1, 2
-
-
-@dataclass
-class CascadeTrace:
-    """Full record of one simulated cascade.
-
-    ``activation_edges`` holds ``(edge_id, source, target)`` for every
-    successful activation, in activation order; seeds have no incoming
-    activation edge.
-    """
-
-    seeds: Tuple[int, ...]
-    activated: Set[int]
-    activation_edges: List[Tuple[int, int, int]]
-
-    @property
-    def spread(self) -> int:
-        """Number of activated nodes (seeds included)."""
-        return len(self.activated)
-
-
-def simulate_cascade(
-    graph: SocialGraph,
-    edge_probabilities: np.ndarray,
-    seeds: Sequence[int],
-    seed: SeedLike = None,
-    *,
-    record_trace: bool = False,
-) -> CascadeTrace:
-    """Simulate one IC cascade from *seeds*.
-
-    Each edge out of a newly activated node flips an independent coin with
-    the edge's probability.  Returns a :class:`CascadeTrace`; when
-    *record_trace* is false the ``activation_edges`` list stays empty (faster
-    and lighter for spread estimation).
-
-    Frontier-batched, one coin array per level: gather the CSR out-slices
-    of every frontier node into one edge-index array (out-CSR position *is*
-    the edge id), flip all the level's coins in a single draw, drop targets
-    that are already active, and resolve same-level races with
-    ``np.unique`` — the first successful edge in gathered order (frontier
-    order × CSR slice order) wins the target.  The next frontier is the
-    sorted winner set.
-    """
-    rng = as_generator(seed)
-    seed_tuple = _check_seeds(graph, seeds)
-    out_offsets = graph.out_offsets
-    out_targets = graph.out_targets
-    active = np.zeros(graph.num_nodes, dtype=bool)
-    frontier = np.asarray(seed_tuple, dtype=np.int64)
-    active[frontier] = True
-    edges: List[Tuple[int, int, int]] = []
-    while frontier.size:
-        starts = out_offsets[frontier]
-        stops = out_offsets[frontier + 1]
-        gathered = gather_csr_slices(starts, stops)
-        if gathered.size == 0:
-            break
-        coins = rng.random(gathered.size)
-        hits = np.flatnonzero(coins < edge_probabilities[gathered])
-        if record_trace:
-            sources = np.repeat(frontier, stops - starts)
-        hit_edges = gathered[hits]
-        candidates = out_targets[hit_edges]
-        fresh = ~active[candidates]
-        hit_edges = hit_edges[fresh]
-        candidates = candidates[fresh]
-        if candidates.size == 0:
-            break
-        winners, first_hit = np.unique(candidates, return_index=True)
-        active[winners] = True
-        if record_trace:
-            hit_sources = sources[hits][fresh]
-            for position in np.sort(first_hit):
-                edges.append(
-                    (
-                        int(hit_edges[position]),
-                        int(hit_sources[position]),
-                        int(candidates[position]),
-                    )
-                )
-        frontier = winners
-    activated = {int(node) for node in np.flatnonzero(active)}
-    return CascadeTrace(seeds=seed_tuple, activated=activated, activation_edges=edges)
 
 
 def _check_seeds(graph: SocialGraph, seeds: Sequence[int]) -> Tuple[int, ...]:
@@ -284,20 +197,3 @@ class IndependentCascade:
     ) -> float:
         """Monte-Carlo estimate of the expected spread σ(seeds)."""
         return self.sample_reach(seeds, num_samples, seed).size / num_samples
-
-    def estimate_spread_with_interval(
-        self,
-        seeds: Sequence[int],
-        num_samples: int = 200,
-        seed: SeedLike = None,
-        z_score: float = 1.96,
-    ) -> Tuple[float, float]:
-        """Spread estimate with a normal-approximation half-width."""
-        reached = self.sample_reach(seeds, num_samples, seed)
-        values = np.bincount(reached // self.graph.num_nodes, minlength=num_samples)
-        mean = reached.size / num_samples
-        if num_samples > 1:
-            half_width = z_score * float(values.std(ddof=1)) / np.sqrt(num_samples)
-        else:
-            half_width = float("inf")
-        return mean, half_width

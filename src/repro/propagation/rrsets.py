@@ -38,18 +38,17 @@ from repro.graph.digraph import SocialGraph
 from repro.propagation import native
 from repro.propagation.kernels import (
     DEFAULT_RR_KERNEL,
-    check_rr_kernel,
     gather_csr_slices,
     reverse_reachable_frontier,
 )
 from repro.propagation.packed import PackedRRSets
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import ValidationError, check_node_id, check_positive
+from repro.utils.rng import SeedLike
+from repro.utils.validation import ValidationError, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.backend.base import ExecutionBackend
 
-__all__ = ["generate_rr_set", "sample_packed_rr_sets", "RRSetCollection"]
+__all__ = ["sample_packed_rr_sets", "RRSetCollection"]
 
 
 def sample_packed_rr_sets(
@@ -98,45 +97,6 @@ def sample_packed_rr_sets(
         scratch[members] = False
         arrays.append(members)
     return PackedRRSets.from_node_arrays(graph.num_nodes, arrays).chunk_payload()
-
-
-def generate_rr_set(
-    graph: SocialGraph,
-    edge_probabilities: np.ndarray,
-    root: int,
-    seed: SeedLike = None,
-    kernel: str = DEFAULT_RR_KERNEL,
-) -> Set[int]:
-    """Sample one RR set rooted at *root*.
-
-    Performs a reverse BFS where each in-edge is crossed with its activation
-    probability; coins are flipped lazily, so each edge is examined at most
-    once per sample, which matches the IC distribution.  *kernel* selects
-    the frontier-batched vectorized core (default) or the chunk-batched
-    native core (see :mod:`repro.propagation.kernels`).
-
-    A shared :class:`~numpy.random.Generator` passed as *seed* is used
-    directly (no per-call re-wrapping), so hot loops can hand one stream
-    across many samples at no coercion cost.
-    """
-    check_node_id(root, graph.num_nodes, "root")
-    check_rr_kernel(kernel)
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = as_generator(seed)
-    edge_probabilities = np.asarray(edge_probabilities, dtype=np.float64)
-    if kernel == "native":
-        nodes, _offsets = native.sample_rr_chunk(
-            graph,
-            edge_probabilities,
-            1,
-            rng,
-            np.array([root], dtype=np.int64),
-        )
-        return set(nodes.tolist())
-    members = reverse_reachable_frontier(graph, edge_probabilities, root, rng)
-    return set(members.tolist())
 
 
 class RRSetCollection:
@@ -208,10 +168,6 @@ class RRSetCollection:
 
     def __len__(self) -> int:
         return self.packed.num_sets
-
-    def coverage_of(self, node: int) -> int:
-        """Number of RR sets containing *node*."""
-        return int(self.packed.sets_containing(node).size)
 
     def _covered_set_count(self, seeds: Sequence[int]) -> int:
         """Number of RR sets intersecting *seeds* (array gather + unique)."""

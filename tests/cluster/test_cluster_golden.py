@@ -11,12 +11,14 @@ cover on the concatenated batch.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import threading
 import time
 
 import pytest
 
+from repro.cluster import worker
 from repro.service import (
     CompleteRequest,
     ExplorePathsRequest,
@@ -49,6 +51,49 @@ def golden_forms(responses):
 #: Enough RR sets for five sampling chunks, so at four shards every shard
 #: owns a non-empty chunk range.
 FANOUT_REQUEST = TargetedInfluencersRequest("data mining", k=2, num_sets=1100)
+
+
+class RoutedRequestWaited(AssertionError):
+    """A routed request queued behind a targeted fan-out."""
+
+
+def gate_radar(service):
+    """Make *service*'s ``radar`` wait (bounded) on the returned gate.
+
+    Patch before the cluster forks, so every shard inherits the long radar.
+    """
+    original = service._handlers["radar"]
+    gate = multiprocessing.get_context("fork").Event()
+
+    def long_radar(request, **options):
+        gate.wait(timeout=5.0)
+        return original(request, **options)
+
+    service._handlers["radar"] = long_radar
+    return gate
+
+
+@contextlib.contextmanager
+def radar_holding_shard0(cluster, gate):
+    """Keep a gated ``radar`` running on shard 0 until the block exits.
+
+    Yields the thread that sent it; leaving the block opens the gate and
+    joins the thread.
+    """
+    busy = cluster._handles[0]
+    long_request = threading.Thread(
+        target=cluster.execute, args=(RadarRequest("data mining"),)
+    )
+    long_request.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        while not busy.lock.locked() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert busy.lock.locked()  # the radar holds shard 0
+        yield long_request
+    finally:
+        gate.set()
+        long_request.join(timeout=10.0)
 
 
 class TestOneAnswerUniverse:
@@ -178,35 +223,91 @@ class TestCoordinatorServingSemantics:
         cheap ``suggest`` for user 0 is answered by shard 1 while shard 0
         is busy with a long ``radar``, without waiting for it."""
         service = make_service("serial")
-        original = service._handlers["radar"]
-        gate = multiprocessing.get_context("fork").Event()
-
-        def long_radar(request, **options):
-            gate.wait(timeout=5.0)
-            return original(request, **options)
-
-        # Patched before the fork, so every shard inherits the long radar.
-        service._handlers["radar"] = long_radar
+        gate = gate_radar(service)
         with running_cluster(service, shards=2) as cluster:
-            busy = cluster._handles[0]
-            long_request = threading.Thread(
-                target=cluster.execute, args=(RadarRequest("data mining"),)
-            )
-            long_request.start()
-            deadline = time.monotonic() + 5.0
-            while not busy.lock.locked() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert busy.lock.locked()  # the radar holds shard 0
-            try:
+            with radar_holding_shard0(cluster, gate) as long_request:
                 cheap = cluster.execute(SuggestKeywordsRequest(user=0, k=2))
                 assert cheap.ok
                 assert long_request.is_alive()  # answered, radar still running
-            finally:
-                gate.set()
-                long_request.join(timeout=10.0)
+            assert not long_request.is_alive()
             stats = cluster.stats()
         assert stats["cluster.shard0.requests"] == 1.0  # the radar
         assert stats["cluster.shard1.requests"] == 1.0  # the suggestion
+
+    def test_stats_do_not_wait_for_a_busy_shard(
+        self, make_service, running_cluster
+    ):
+        """``stats()`` reports a shard whose pipe is in use as busy instead
+        of waiting for it, and still reads the idle shard's counters."""
+        service = make_service("serial")
+        gate = gate_radar(service)
+        with running_cluster(service, shards=2) as cluster:
+            with radar_holding_shard0(cluster, gate) as long_request:
+                started = time.perf_counter()
+                stats = cluster.stats()
+                elapsed = time.perf_counter() - started
+                assert long_request.is_alive()  # shard 0 was busy throughout
+            assert not long_request.is_alive()
+            after = cluster.stats()
+        assert elapsed < 0.05
+        assert stats["cluster.shard0.busy"] == 1.0
+        assert "cluster.shard0.requests" not in stats
+        assert stats["cluster.shard1.busy"] == 0.0
+        assert stats["cluster.shard1.requests"] == 0.0
+        assert after["cluster.shard0.busy"] == 0.0
+        assert after["cluster.shard0.requests"] == 1.0  # the radar
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RoutedRequestWaited,
+        reason="ROADMAP item 9: _distributed_cover holds every shard's pipe "
+        "lock for the whole targeted fan-out, so a routed request queues "
+        "behind it",
+    )
+    def test_routed_request_does_not_wait_for_a_fan_out(
+        self, make_service, running_cluster, monkeypatch
+    ):
+        """A cheap routed ``suggest`` answers while a targeted fan-out is
+        still sampling on every shard."""
+        gate = multiprocessing.get_context("fork").Event()
+        original = worker.sample_packed_rr_sets
+
+        def gated_sample(*args, **kwargs):
+            gate.wait(timeout=5.0)
+            return original(*args, **kwargs)
+
+        # Patched before the fork, so every shard samples behind the gate.
+        monkeypatch.setattr(worker, "sample_packed_rr_sets", gated_sample)
+        with running_cluster(make_service("serial"), shards=2) as cluster:
+            fan_out = threading.Thread(
+                target=cluster.execute, args=(FANOUT_REQUEST,)
+            )
+            answers = []
+            cheap = threading.Thread(
+                target=lambda: answers.append(
+                    cluster.execute(SuggestKeywordsRequest(user=0, k=2))
+                )
+            )
+            fan_out.start()
+            try:
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and not all(
+                    handle.lock.locked() for handle in cluster._handles
+                ):
+                    time.sleep(0.01)
+                assert all(handle.lock.locked() for handle in cluster._handles)
+                cheap.start()
+                cheap.join(timeout=0.5)
+                answered_in_time = not cheap.is_alive()
+            finally:
+                gate.set()
+                fan_out.join(timeout=20.0)
+                if cheap.ident is not None:  # started
+                    cheap.join(timeout=20.0)
+            assert not fan_out.is_alive() and not cheap.is_alive()
+            assert len(answers) == 1 and answers[0].ok
+        if not answered_in_time:
+            raise RoutedRequestWaited("suggest waited > 0.5 s for the fan-out")
 
     def test_malformed_and_invalid_requests_match_serial_bytes(
         self, make_service, running_cluster

@@ -10,13 +10,11 @@ end-to-end consistency check across the propagation, im and core layers.
 import numpy as np
 import pytest
 
+from reference.estimators import RRSetSpreadEstimator
+from reference.mia import MIAModel
+from reference.worlds import WorldEnsemble
 from repro.core.influencer_index import InfluencerIndex
-from repro.im.mia import MIAModel
-from repro.propagation.estimators import (
-    MonteCarloSpreadEstimator,
-    RRSetSpreadEstimator,
-)
-from repro.propagation.worlds import WorldEnsemble
+from repro.propagation.estimators import MonteCarloSpreadEstimator
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ the qualitative behaviour the demo describes.
 import numpy as np
 import pytest
 
+from reference.heuristics import pagerank_seeds
 from repro.core.octopus import Octopus, OctopusConfig
-from repro.im.heuristics import pagerank_seeds
 from repro.propagation.estimators import MonteCarloSpreadEstimator
 from repro.viz.d3 import path_tree_to_d3_force
 from repro.viz.radar import radar_chart_data

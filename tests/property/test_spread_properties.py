@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.mia import MIAModel
+from reference.worlds import WorldEnsemble
 from repro.core.bounds import PrecomputationBound, walk_sum_bounds
 from repro.graph.digraph import SocialGraph
-from repro.im.mia import MIAModel
-from repro.propagation.worlds import WorldEnsemble
 from repro.topics.edges import TopicEdgeWeights
 
 

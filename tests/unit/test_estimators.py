@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.estimators import RRSetSpreadEstimator
+from reference.greedy import greedy_im
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import preferential_attachment_digraph
-from repro.im.greedy import greedy_im
-from repro.propagation.estimators import (
-    MonteCarloSpreadEstimator,
-    RRSetSpreadEstimator,
-)
+from repro.propagation.estimators import MonteCarloSpreadEstimator
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.native import splitmix64
 from repro.propagation.rrsets import RRSetCollection

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.im.greedy import greedy_im
-from repro.propagation.estimators import RRSetSpreadEstimator
+from reference.estimators import RRSetSpreadEstimator
+from reference.greedy import greedy_im
 from repro.utils.validation import ValidationError
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.im.heuristics import (
+from reference.heuristics import (
     degree_discount_seeds,
     degree_seeds,
     pagerank_seeds,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.im.mia import MIAModel, mia_im
+from reference.mia import MIAModel, mia_im
 from repro.propagation.ic import IndependentCascade
 from repro.utils.validation import ValidationError
 

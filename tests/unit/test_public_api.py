@@ -5,6 +5,7 @@ A production library's contract: every public package exports what its
 """
 
 import importlib
+import importlib.util
 import inspect
 
 import pytest
@@ -20,7 +21,6 @@ PACKAGES = [
     "repro.index",
     "repro.datasets",
     "repro.viz",
-    "repro.engine",
     "repro.service",
     "repro.server",
     "repro.cluster",
@@ -35,7 +35,6 @@ MODULES = [
     "repro.cluster.worker",
     "repro.core.besteffort",
     "repro.core.bounds",
-    "repro.core.dynamic",
     "repro.core.influencer_index",
     "repro.core.octopus",
     "repro.core.paths",
@@ -44,7 +43,6 @@ MODULES = [
     "repro.core.targeted",
     "repro.core.topic_samples",
     "repro.datasets.loaders",
-    "repro.engine.workload",
     "repro.gateway.admission",
     "repro.gateway.http",
     "repro.gateway.limits",
@@ -56,7 +54,6 @@ MODULES = [
     "repro.service.middleware",
     "repro.service.requests",
     "repro.service.responses",
-    "repro.im.mia",
     "repro.obs.histogram",
     "repro.obs.prometheus",
     "repro.obs.trace",
@@ -67,14 +64,27 @@ MODULES = [
     "repro.topics.model",
 ]
 
+#: The unshipped baselines and reference engines keep the same contract.
+REFERENCE_MODULES = [
+    "reference",
+    "reference.analysis",
+    "reference.cascade",
+    "reference.estimators",
+    "reference.greedy",
+    "reference.heuristics",
+    "reference.mia",
+    "reference.rrsets",
+    "reference.worlds",
+]
 
-@pytest.mark.parametrize("name", PACKAGES + MODULES)
+
+@pytest.mark.parametrize("name", PACKAGES + MODULES + REFERENCE_MODULES)
 def test_module_imports_and_has_docstring(name):
     module = importlib.import_module(name)
     assert module.__doc__, f"{name} is missing a module docstring"
 
 
-@pytest.mark.parametrize("name", PACKAGES + MODULES)
+@pytest.mark.parametrize("name", PACKAGES + MODULES + REFERENCE_MODULES)
 def test_all_entries_exist(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
@@ -82,7 +92,7 @@ def test_all_entries_exist(name):
         assert hasattr(module, item), f"{name}.__all__ lists missing {item!r}"
 
 
-@pytest.mark.parametrize("name", PACKAGES + MODULES)
+@pytest.mark.parametrize("name", PACKAGES + MODULES + REFERENCE_MODULES)
 def test_public_callables_documented(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
@@ -121,18 +131,16 @@ def test_top_level_quickstart_names():
 
 
 def test_top_level_service_and_engine_names():
-    """The service/engine layers are reachable without deep imports."""
+    """The service layer and its compute engine are reachable without deep
+    imports."""
     from repro import (  # noqa: F401
         FindInfluencersRequest,
-        LatencyReport,
+        Octopus,
         OctopusService,
-        QueryWorkload,
         ServiceError,
         ServiceResponse,
-        WorkloadConfig,
         request_from_dict,
         request_from_json,
-        run_workload,
     )
 
 
@@ -159,3 +167,63 @@ def test_retired_executor_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.service.concurrent")
+
+
+#: Modules that left the package: ``repro.engine`` (octobench generates the
+#: workloads) and ``repro.core.dynamic`` were deleted; the paper baselines
+#: and reference engines moved to the repository's unshipped ``reference``
+#: package.
+GONE_MODULES = [
+    "repro.engine",
+    "repro.core.dynamic",
+    "repro.im.greedy",
+    "repro.im.heuristics",
+    "repro.im.mia",
+    "repro.graph.analysis",
+    "repro.propagation.worlds",
+]
+
+#: Public names that went with them, as ``(module, attribute path)``.
+REMOVED_NAMES = [
+    ("repro", "QueryWorkload"),
+    ("repro", "WorkloadConfig"),
+    ("repro", "LatencyReport"),
+    ("repro", "run_workload"),
+    ("repro.im", "greedy_im"),
+    ("repro.im", "MIAModel"),
+    ("repro.im", "mia_im"),
+    ("repro.im", "degree_seeds"),
+    ("repro.im", "degree_discount_seeds"),
+    ("repro.im", "pagerank_seeds"),
+    ("repro.im", "random_seeds"),
+    ("repro.graph", "pagerank"),
+    ("repro.graph", "weakly_connected_components"),
+    ("repro.graph", "degree_histogram"),
+    ("repro.propagation", "simulate_cascade"),
+    ("repro.propagation", "LiveEdgeWorld"),
+    ("repro.propagation", "WorldEnsemble"),
+    ("repro.propagation", "generate_rr_set"),
+    ("repro.propagation", "SpreadEstimator"),
+    ("repro.propagation", "RRSetSpreadEstimator"),
+    ("repro.propagation.ic", "simulate_cascade"),
+    ("repro.propagation.ic", "CascadeTrace"),
+    ("repro.propagation.ic", "IndependentCascade.estimate_spread_with_interval"),
+    ("repro.propagation.rrsets", "generate_rr_set"),
+    ("repro.propagation.rrsets", "RRSetCollection.coverage_of"),
+    ("repro.propagation.estimators", "SpreadEstimator"),
+    ("repro.propagation.estimators", "RRSetSpreadEstimator"),
+]
+
+
+@pytest.mark.parametrize("name", GONE_MODULES)
+def test_moved_and_deleted_modules_are_gone(name):
+    assert importlib.util.find_spec(name) is None
+
+
+@pytest.mark.parametrize("module, path", REMOVED_NAMES)
+def test_removed_public_names_are_gone(module, path):
+    owner = importlib.import_module(module)
+    *parents, name = path.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent)
+    assert not hasattr(owner, name)

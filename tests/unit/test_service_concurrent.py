@@ -232,25 +232,3 @@ class TestLifecycle:
             assert not response.ok and not response.cache_hit
             assert response.error.code == "internal_error"
         assert executor.stats()["service.complete.requests"] == 1.0
-
-    def test_workload_engine_accepts_executor(self, backend):
-        from repro.engine.workload import (
-            QueryWorkload,
-            WorkloadConfig,
-            run_workload,
-        )
-
-        service = OctopusService(backend)
-        workload = QueryWorkload.generate(
-            service, WorkloadConfig(num_queries=12, seed=5)
-        )
-        with replicas(service) as executor:
-            report = run_workload(executor, workload)
-        assert report.total_queries == 12
-        answered = sum(
-            stats["count"]
-            for name, stats in report.per_service.items()
-            if name != "errors"
-        )
-        errors = report.per_service.get("errors", {}).get("count", 0)
-        assert answered + errors == 12

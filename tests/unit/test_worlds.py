@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.propagation.worlds import LiveEdgeWorld, WorldEnsemble
+from reference.worlds import LiveEdgeWorld, WorldEnsemble
 from repro.utils.validation import ValidationError
 
 
