@@ -10,7 +10,6 @@ objective (often by a wide margin when the audience is a small topical
 subpopulation); RR-sampling latency comparable to plain RIS.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.targeted import TargetedKeywordIM

@@ -1,19 +1,22 @@
-"""E15 — the vectorized RR sampling kernel and packed payloads.
+"""E15 — the counter-keyed RR kernel on NumPy, and packed payloads.
 
-The PR 3 design: RR sampling is a frontier-batched NumPy kernel (gather the
-whole frontier's in-CSR slices per BFS level, one coin array per level),
-and the packed flat-array representation makes greedy max-cover a
-bincount/argmax loop and chunk results two flat buffers.  The
-node-at-a-time loop it replaced (3.8–4.9× slower in this experiment's
-history) was retired in PR 14; E19 compares the two remaining kernels.
+The one RR kernel advances every set of a pass together, one BFS level per
+NumPy round (gather the in-CSR slices of every ``(set, node)`` frontier
+pair, one counter-keyed coin per gathered edge, dedup against the pairs
+already reached).  The packed flat-array representation makes greedy
+max-cover a bincount/argmax loop and chunk results two flat buffers.  Until
+the re-key this experiment timed the ``vectorized`` kernel, which walked
+one set at a time; its last run is the history row of commit ``8609103``.
+E19 compares the NumPy path with the compiled core.
 
 Setup: a ~50k-edge Erdős–Rényi digraph with uniform activation probability
 chosen slightly supercritical (mean RR set in the hundreds of nodes — the
 regime where query-time IM budgets actually land), timed end to end
-(``RRSetCollection.sample`` + ``greedy_max_cover``).  ``extra_info``
-records ``cpu_count`` (single-core runners — the kernel is single-threaded
-anyway) and the pickle payload bytes of the packed vs set-based batch
-representations.  The trajectory lives in ``BENCH_HISTORY.jsonl``.
+(``RRSetCollection.sample`` + ``greedy_max_cover``) with the NumPy path
+forced (``REPRO_NATIVE=0`` semantics).  ``extra_info`` records
+``cpu_count`` (the kernel is single-threaded) and the pickle payload bytes
+of the packed vs set-based batch representations.  The trajectory lives in
+``BENCH_HISTORY.jsonl``.
 """
 
 import os
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi_digraph
+from repro.propagation import native
 from repro.propagation.rrsets import RRSetCollection
 
 _SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -45,16 +49,14 @@ def activation_probabilities(kernel_graph):
     return np.full(kernel_graph.num_edges, ACTIVATION)
 
 
-def _sample_and_cover(graph, probabilities, kernel):
-    collection = RRSetCollection.sample(
-        graph, probabilities, NUM_SETS, seed=1502, kernel=kernel
-    )
+def _sample_and_cover(graph, probabilities):
+    collection = RRSetCollection.sample(graph, probabilities, NUM_SETS, seed=1502)
     seeds, spread = collection.greedy_max_cover(K)
     return collection, seeds, spread
 
 
-def _record_shape(benchmark, graph, collection, kernel):
-    benchmark.extra_info["kernel"] = kernel
+def _record_shape(benchmark, graph, collection):
+    benchmark.extra_info["path"] = native.kernel_provenance()
     benchmark.extra_info["num_sets"] = NUM_SETS
     benchmark.extra_info["num_edges"] = int(graph.num_edges)
     benchmark.extra_info["cpu_count"] = os.cpu_count()
@@ -64,18 +66,19 @@ def _record_shape(benchmark, graph, collection, kernel):
 
 
 @pytest.mark.benchmark(group="e15-kernels")
-def test_vectorized_kernel_sample_and_cover(
-    benchmark, kernel_graph, activation_probabilities
+def test_numpy_kernel_sample_and_cover(
+    benchmark, kernel_graph, activation_probabilities, monkeypatch
 ):
-    """The frontier-batched kernel (the default)."""
+    """The level-synchronous NumPy sampler, compiled core switched off."""
+    monkeypatch.setattr(native, "_FORCED_FALLBACK", True)
     collection, seeds, _spread = benchmark.pedantic(
         _sample_and_cover,
-        args=(kernel_graph, activation_probabilities, "vectorized"),
+        args=(kernel_graph, activation_probabilities),
         rounds=2,
         iterations=1,
     )
     assert len(seeds) == K
-    _record_shape(benchmark, kernel_graph, collection, "vectorized")
+    _record_shape(benchmark, kernel_graph, collection)
 
 
 @pytest.mark.benchmark(group="e15-kernels")

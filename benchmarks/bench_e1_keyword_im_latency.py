@@ -16,7 +16,6 @@ lands near a sample; seed quality stays comparable (extra_info records the
 spread of every method's seeds under one shared judge).
 """
 
-import numpy as np
 import pytest
 
 from reference.greedy import greedy_im

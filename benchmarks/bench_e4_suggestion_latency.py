@@ -11,7 +11,6 @@ touched), while the naive path scales with candidates × samples × cascade
 size.  Greedy quality is recorded against exhaustive search.
 """
 
-import numpy as np
 import pytest
 
 from repro.propagation.ic import IndependentCascade

@@ -28,7 +28,6 @@ import os
 import pathlib
 import subprocess
 
-import numpy as np
 import pytest
 
 from repro.core.besteffort import BestEffortKeywordIM

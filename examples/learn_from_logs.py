@@ -10,8 +10,6 @@ planted model.
 Run:  python examples/learn_from_logs.py
 """
 
-import numpy as np
-
 from repro import CitationNetworkGenerator, Octopus, OctopusConfig
 from repro.topics.em import EMConfig, TICLearner
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.backend.base import ExecutionBackend
 from repro.graph.digraph import SocialGraph
-from repro.propagation.kernels import DEFAULT_RR_KERNEL
 from repro.propagation.rrsets import RRSetCollection
 from repro.utils.rng import SeedLike
 
@@ -45,7 +44,6 @@ class RRSetSpreadEstimator:
         seed: SeedLike = None,
         collection: Optional[RRSetCollection] = None,
         backend: Optional["ExecutionBackend"] = None,
-        kernel: str = DEFAULT_RR_KERNEL,
     ) -> None:
         if collection is None:
             collection = RRSetCollection.sample(
@@ -54,7 +52,6 @@ class RRSetSpreadEstimator:
                 num_sets,
                 seed,
                 backend=backend,
-                kernel=kernel,
             )
         self.collection = collection
 

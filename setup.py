@@ -1,11 +1,11 @@
 """Build hook for the optional compiled RR kernel.
 
 All static metadata lives in ``pyproject.toml``; this file exists solely to
-declare ``repro.propagation._rrnative`` (the chunk-batched RR-sampling and
-greedy cover-update C core) as an **optional** extension: a missing or
+declare ``repro.propagation._rrnative`` (the compiled core of the RR kernel
+and the greedy cover update) as an **optional** extension: a missing or
 broken compiler downgrades the build to pure Python with a warning instead
-of failing it.  The native kernel is always selectable either way — its
-pure-NumPy fallback is draw-for-draw identical to the compiled core.
+of failing it.  The answers are the same either way — the NumPy path draws
+the same counter-keyed coins and writes the same bytes.
 
 Two supported flows:
 
@@ -45,8 +45,8 @@ class OptionalBuildExt(build_ext):
     def _warn(error):
         print(
             "WARNING: building repro.propagation._rrnative failed "
-            f"({error}); the native RR kernel will run on its pure-Python "
-            "fallback (identical results, compiled speed forgone)."
+            f"({error}); the RR kernel will run on its NumPy path "
+            "(identical results, compiled speed forgone)."
         )
 
 

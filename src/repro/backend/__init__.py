@@ -15,12 +15,12 @@ or by name through :func:`resolve_backend` (what the CLI's ``--backend`` /
     backend = resolve_backend("processes", workers=4)
 
 Determinism contract: for a fixed seed, every backend at every worker
-count produces identical results, because work is chunked independently of
-the worker count and each chunk owns a spawned RNG stream (see
-:mod:`repro.backend.base`).  The guarantee holds per sampling kernel
-(``vectorized`` / ``native``); RR-set chunks travel as packed flat arrays,
-and :class:`ProcessPoolBackend` adopts the graph and edge-probability
-arrays once per worker instead of pickling them per chunk.
+count and chunk size produces identical results, because an RR batch is a
+pure function of its seeded key and roots and a chunk is just a range of
+its set indices (see :mod:`repro.backend.base`) — whether the compiled
+core or NumPy samples.  RR-set chunks travel as packed flat arrays, and
+:class:`ProcessPoolBackend` adopts the graph and edge-probability arrays
+once per worker instead of pickling them per chunk.
 """
 
 from __future__ import annotations

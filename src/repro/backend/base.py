@@ -7,23 +7,22 @@ tasks, so it parallelises embarrassingly well.  An
 one primitive, :meth:`~ExecutionBackend.map_chunks`: apply a function to a
 sequence of task chunks and return the results *in input order*.
 
-Determinism is the design constraint.  Work is split into fixed-size chunks
-whose count depends only on the problem size — never on the worker count —
-and each chunk receives its own RNG stream spawned from the root seed (the
-``SeedSequence.spawn`` protocol, the same device
-:func:`repro.utils.rng.spawn_generators` uses).  The same seed therefore
-produces bit-identical results on :class:`~repro.backend.serial.SerialBackend`,
+Determinism is the design constraint.  An RR batch is a pure function of
+its key, drawn once from the call's seed, and its roots (uniform roots are
+drawn once per batch from the same generator): RR set ``j`` is the
+reverse reach of its root under coins keyed by ``(key, j)`` (see
+:mod:`repro.propagation.kernels`).  Chunks are index ranges of that batch,
+so the same seed produces bit-identical results on
+:class:`~repro.backend.serial.SerialBackend`,
 :class:`~repro.backend.pools.ThreadPoolBackend` and
-:class:`~repro.backend.pools.ProcessPoolBackend`, at any worker count — the
-property the service layer's caching and replay guarantees rest on.  The
-guarantee is per sampling *kernel* (vectorized or native; see
-:mod:`repro.propagation.kernels`): each kernel is self-deterministic, but
-the two draw in different orders and need not match each other.
+:class:`~repro.backend.pools.ProcessPoolBackend`, at any worker count and
+any chunk size, whether the compiled core or NumPy samples — the property
+the service layer's caching and replay guarantees rest on.
 
 :meth:`~ExecutionBackend.sample_rr_sets_packed` builds on ``map_chunks`` to
 give every backend the chunked RR-sampling strategy shared by
 :class:`~repro.propagation.rrsets.RRSetCollection`, the targeted-IM engine
-and the RR-set spread oracle.  Chunk workers return packed ``(nodes,
+and the RIS baseline.  Chunk workers return packed ``(nodes,
 offsets)`` arrays — two flat buffers per chunk — rather than pickled lists
 of Python sets, and process pools adopt the graph and edge-probability
 arrays once per worker (see
@@ -40,23 +39,22 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.propagation.kernels import DEFAULT_RR_KERNEL, check_rr_kernel
 from repro.propagation.packed import PackedRRSets
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError, check_positive
 
 __all__ = [
     "DEFAULT_RR_CHUNK_SIZE",
     "ExecutionBackend",
     "default_worker_count",
+    "draw_batch_key",
     "rr_chunk_plan",
     "seed_to_sequence",
 ]
 
-# Fixed chunk granularity for RR sampling.  Part of the determinism
-# contract: results depend on the chunk size, so it must never be derived
-# from the worker count.
-DEFAULT_RR_CHUNK_SIZE = 256
+#: Sets per chunk of an RR batch: pure scheduling (any chunk size gives
+#: the same bytes), sized to one pass of the NumPy sampler.
+DEFAULT_RR_CHUNK_SIZE = 1024
 
 
 def default_worker_count() -> int:
@@ -64,41 +62,23 @@ def default_worker_count() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def rr_chunk_plan(
-    num_sets: int,
-    chunk_size: int,
-    sequence: np.random.SeedSequence,
-    root_cycle: Optional[List[int]] = None,
-) -> List[Tuple[int, np.random.SeedSequence, Optional[List[int]]]]:
-    """The deterministic chunk decomposition of one RR-sampling call.
+def draw_batch_key(rng: np.random.Generator) -> int:
+    """The key of one RR batch: one uint64 draw from *rng*."""
+    return int(rng.integers(0, 2**64, dtype=np.uint64))
 
-    Returns ``(count, seed_sequence, roots)`` per chunk.  This is *the*
-    determinism seam of the backend layer: the chunk count and the
-    per-chunk spawned streams depend only on ``(num_sets, chunk_size,
-    sequence)`` — never on worker or shard counts — so any scheduler
-    (a worker pool mapping chunks, or a cluster coordinator handing
-    contiguous chunk ranges to shard processes) reproduces the exact
-    sample batch as long as it concatenates chunk results in plan order.
-    With *root_cycle*, set ``i`` of the batch is rooted at
-    ``root_cycle[i % len(root_cycle)]`` wherever the chunk bounds fall.
+
+def rr_chunk_plan(num_sets: int, chunk_size: int) -> List[Tuple[int, int]]:
+    """The ``(start, stop)`` set-index range of every chunk of a batch.
+
+    Each chunk samples sets ``start … stop − 1`` from the batch's key and
+    their roots; a scheduler (a worker pool mapping chunks, or a cluster
+    coordinator handing contiguous chunk ranges to shard processes)
+    reproduces the batch by concatenating chunk results in plan order.
     """
-    counts = [
-        min(chunk_size, num_sets - start)
+    return [
+        (start, min(start + chunk_size, num_sets))
         for start in range(0, num_sets, chunk_size)
     ]
-    children = sequence.spawn(len(counts))
-    plan: List[Tuple[int, np.random.SeedSequence, Optional[List[int]]]] = []
-    offset = 0
-    for count, child in zip(counts, children):
-        chunk_roots = None
-        if root_cycle is not None:
-            chunk_roots = [
-                root_cycle[(offset + index) % len(root_cycle)]
-                for index in range(count)
-            ]
-        plan.append((count, child, chunk_roots))
-        offset += count
-    return plan
 
 
 def seed_to_sequence(seed: SeedLike) -> np.random.SeedSequence:
@@ -166,23 +146,19 @@ def _resolve_sampling_payload(payload: Any) -> Tuple[Any, np.ndarray]:
 
 
 def _sample_rr_chunk(
-    task: Tuple[Any, int, np.random.SeedSequence, Optional[List[int]], str],
+    task: Tuple[Any, int, int, np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample one chunk of RR sets from its private spawned stream.
+    """Sample one chunk ``(payload, key, first, roots)`` of an RR batch.
 
     Module-level (not a closure) so :class:`ProcessPoolBackend` can pickle
-    it.  Roots are either pre-assigned (weighted/fixed-root sampling) or
-    drawn uniformly from the chunk's own stream.  Returns the packed
-    ``(nodes, offsets)`` arrays — flat buffers, cheap to pickle back.
+    it.  Returns the packed ``(nodes, offsets)`` arrays — flat buffers,
+    cheap to pickle back.
     """
-    from repro.propagation.rrsets import sample_packed_rr_sets
+    from repro.propagation.kernels import sample_packed_rr_sets
 
-    payload, count, seed_sequence, roots, kernel = task
+    payload, key, first, roots = task
     graph, edge_probabilities = _resolve_sampling_payload(payload)
-    rng = np.random.default_rng(seed_sequence)
-    return sample_packed_rr_sets(
-        graph, edge_probabilities, count, rng, roots, kernel
-    )
+    return sample_packed_rr_sets(graph, edge_probabilities, key, first, roots)
 
 
 class ExecutionBackend(abc.ABC):
@@ -252,39 +228,38 @@ class ExecutionBackend(abc.ABC):
         *,
         roots: Optional[Sequence[int]] = None,
         chunk_size: int = DEFAULT_RR_CHUNK_SIZE,
-        kernel: str = DEFAULT_RR_KERNEL,
     ) -> PackedRRSets:
-        """Sample *num_sets* RR sets in deterministic fixed-size chunks.
+        """Sample *num_sets* RR sets in chunks of *chunk_size*.
 
-        With explicit *roots*, set ``i`` is rooted at
-        ``roots[i % len(roots)]``.  Chunk count and per-chunk streams
-        depend only on ``(num_sets, chunk_size, seed)``; results are
-        deterministic per *kernel*.
+        The batch key is drawn from *seed* first, then (without explicit
+        *roots*) the uniform roots; with *roots*, set ``i`` is rooted at
+        ``roots[i % len(roots)]``.  The result depends only on *seed* and
+        *roots* — never on the backend, its workers or *chunk_size*.
         """
         check_positive(num_sets, "num_sets")
         check_positive(chunk_size, "chunk_size")
-        check_rr_kernel(kernel)
         if graph.num_nodes == 0:
             raise ValidationError("cannot sample RR sets on an empty graph")
-        root_cycle: Optional[List[int]] = None
-        if roots is not None:
-            root_cycle = [int(root) for root in roots]
-            if not root_cycle:
+        rng = as_generator(seed)
+        key = draw_batch_key(rng)
+        if roots is None:
+            root_array = rng.integers(0, graph.num_nodes, size=num_sets)
+        else:
+            root_array = np.asarray(roots, dtype=np.int64).ravel()
+            if root_array.size == 0:
                 raise ValidationError("roots must not be empty when given")
-            for root in root_cycle:
-                if not 0 <= root < graph.num_nodes:
-                    raise ValidationError(
-                        f"root must be in [0, {graph.num_nodes}), got {root}"
-                    )
-        sequence = seed_to_sequence(seed)
+            bad = root_array[(root_array < 0) | (root_array >= graph.num_nodes)]
+            if bad.size:
+                raise ValidationError(
+                    f"root must be in [0, {graph.num_nodes}), got {int(bad[0])}"
+                )
+            root_array = np.resize(root_array, num_sets)
         payload = self._sampling_payload(
             graph, np.asarray(edge_probabilities, dtype=np.float64)
         )
         tasks = [
-            (payload, count, child, chunk_roots, kernel)
-            for count, child, chunk_roots in rr_chunk_plan(
-                num_sets, chunk_size, sequence, root_cycle
-            )
+            (payload, key, start, root_array[start:stop])
+            for start, stop in rr_chunk_plan(num_sets, chunk_size)
         ]
         return self._collect_packed(graph.num_nodes, tasks)
 

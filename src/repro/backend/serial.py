@@ -14,8 +14,8 @@ class SerialBackend(ExecutionBackend):
 
     The reference implementation of the backend contract: parallel
     backends must produce exactly what this one produces for the same
-    seed, because chunking and per-chunk RNG streams — not scheduling —
-    determine the results.  Chunk payloads (including the packed RR-set
+    seed, because the seeded keys and roots — not scheduling — determine
+    the results.  Chunk payloads (including the packed RR-set
     arrays) pass through by reference; nothing is copied or pickled.
     """
 

@@ -73,12 +73,10 @@ execution backend.  The backend is pure scheduling: the same seed gives
 the same answers on ``serial`` (the default), ``threads`` and
 ``processes``, at any worker count.  ``query --batch`` serves the array
 in order, sharing duplicates (``cache_hit=true``).
-``--rr-kernel {vectorized,native}`` picks the RR sampling core: results
-are deterministic per kernel.  ``native`` runs the chunk-batched compiled
-extension when it is built (``python setup.py build_ext --inplace`` or a
-``pip install`` with a compiler) and a draw-for-draw identical pure-Python
-fallback otherwise — ``octopus stats`` reports which via
-``execution.native_kernel``.
+RR sets are sampled by one kernel, on the compiled extension when it is
+built (``python setup.py build_ext --inplace`` or a ``pip install`` with a
+compiler) and in NumPy otherwise, with the same answers either way —
+``octopus stats`` reports which via ``execution.rr_kernel``.
 """
 
 from __future__ import annotations
@@ -159,17 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="worker count for pooled backends (default: CPU count)",
-        )
-        sub.add_argument(
-            "--rr-kernel",
-            choices=("vectorized", "native"),
-            default="vectorized",
-            help="RR sampling kernel: the frontier-batched vectorized core "
-            "(default) or the chunk-batched native core (compiled "
-            "extension when built, "
-            "identical pure-Python fallback otherwise); each is "
-            "deterministic for a fixed seed, but they draw in different "
-            "orders and give different (equally distributed) samples",
         )
         return sub
 
@@ -440,7 +427,6 @@ def _load_service(arguments: argparse.Namespace) -> OctopusService:
     dataset = load_dataset(arguments.dataset)
     backend = getattr(arguments, "backend", "serial")
     workers = getattr(arguments, "workers", None)
-    rr_kernel = getattr(arguments, "rr_kernel", "vectorized")
     if arguments.fast:
         config = OctopusConfig(
             num_sketches=60,
@@ -449,14 +435,12 @@ def _load_service(arguments: argparse.Namespace) -> OctopusService:
             oracle_samples=30,
             execution_backend=backend,
             workers=workers,
-            rr_kernel=rr_kernel,
             seed=arguments.seed,
         )
     else:
         config = OctopusConfig(
             execution_backend=backend,
             workers=workers,
-            rr_kernel=rr_kernel,
             seed=arguments.seed,
         )
     return OctopusService(Octopus.from_dataset(dataset, config=config))

@@ -28,16 +28,18 @@ and is a whole-query replica.  Requests then take one of two paths:
   out: the coordinator runs the ordinary targeted handler on its own
   replica with the engine's one replaceable step — sample + greedy cover
   (:data:`repro.core.targeted.CoverStep`) — swapped for the shard
-  exchange.  That step builds the exact chunk plan
-  (:func:`repro.backend.base.rr_chunk_plan`) the single-process backend
-  would build over the roots the engine drew, sends each shard one
-  ``SampleShard`` for its contiguous chunk range, concatenates the
-  returned batches in shard order and runs the ordinary
+  exchange.  That step draws the batch key from the engine stream as the
+  local step does, splits the chunk plan
+  (:func:`repro.backend.base.rr_chunk_plan`) into contiguous ranges,
+  sends each shard one ``SampleShard`` for its range of set indices and
+  roots, concatenates the returned batches in shard order and runs the
+  ordinary
   :meth:`~repro.propagation.rrsets.RRSetCollection.greedy_max_cover` on
-  them.  Because chunk streams are keyed by chunk index — never by shard
-  — the sampled batch, the greedy selections and every float in the
-  response are **byte-identical** for 1, 2 or 4 shards and to the
-  single-process service: shard count is a pure execution detail.  With
+  them.  Because every RR set is keyed by the batch key and its global
+  index — never by shard — the sampled batch, the greedy selections and
+  every float in the response are **byte-identical** for 1, 2 or 4
+  shards and to the single-process service: shard count is a pure
+  execution detail.  With
   ``fan_out=False`` every request, ``targeted`` included, is routed, so
   no shared-memory session or arena is created.
 
@@ -66,10 +68,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend.base import DEFAULT_RR_CHUNK_SIZE, rr_chunk_plan, seed_to_sequence
+from repro.backend.base import DEFAULT_RR_CHUNK_SIZE, draw_batch_key, rr_chunk_plan
 from repro.backend.shm import ShmArena, ShmSession, ShmSlice, shm_enabled
 from repro.cluster.protocol import (
-    ChunkSpec,
     ExecuteRequest,
     Ping,
     SampleShard,
@@ -695,21 +696,20 @@ class ClusterCoordinator:
         self,
         engine: TargetedKeywordIM,
         gamma: np.ndarray,
-        roots: List[int],
+        roots: np.ndarray,
         k: int,
     ) -> Tuple[List[int], float]:
         """The fanned-out :data:`~repro.core.targeted.CoverStep`.
 
-        Builds, from the engine's stream, the chunk plan the local step
-        would sample; each shard with a non-empty chunk range samples it
-        and returns the packed batch; the coordinator concatenates the
-        batches in shard order (plan order) and runs the same greedy cover
-        as :func:`~repro.core.targeted.sample_and_cover`.  Raises
-        :class:`ShardError` when the exchange fails.
+        Draws the batch key from the engine's stream as the local step
+        would; each shard with a non-empty range of the chunk plan samples
+        those sets and returns the packed batch; the coordinator
+        concatenates the batches in shard order (plan order) and runs the
+        same greedy cover as :func:`~repro.core.targeted.sample_and_cover`.
+        Raises :class:`ShardError` when the exchange fails.
         """
-        plan = rr_chunk_plan(
-            len(roots), DEFAULT_RR_CHUNK_SIZE, seed_to_sequence(engine._rng), roots
-        )
+        key = draw_batch_key(engine._rng)
+        plan = rr_chunk_plan(len(roots), DEFAULT_RR_CHUNK_SIZE)
         handles: List[_ShardHandle] = []
         commands: List[SampleShard] = []
         for handle, (low, high) in zip(
@@ -717,21 +717,14 @@ class ClusterCoordinator:
         ):
             if low == high:
                 continue
+            start, stop = plan[low][0], plan[high - 1][1]
             handles.append(handle)
             commands.append(
                 SampleShard(
                     gamma=gamma,
-                    chunks=tuple(
-                        ChunkSpec(
-                            count=count,
-                            seed=child,
-                            roots=tuple(chunk_roots)
-                            if chunk_roots is not None
-                            else None,
-                        )
-                        for count, child, chunk_roots in plan[low:high]
-                    ),
-                    kernel=engine.rr_kernel,
+                    key=key,
+                    first=start,
+                    roots=roots[start:stop],
                 )
             )
         acquired: List[_ShardHandle] = []

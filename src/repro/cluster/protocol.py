@@ -16,9 +16,9 @@ command            shard action
 =================  ====================================================
 ``ExecuteRequest`` serve one full :class:`ServiceRequest` on the shard's
                    forked service replica (routing path)
-``SampleShard``    sample the shard's contiguous chunk range of one RR
-                   batch (per-chunk spawned streams) and return it as
-                   one packed ``(nodes, offsets)`` pair (fan-out path)
+``SampleShard``    sample the shard's contiguous set-index range of one
+                   keyed RR batch and return it as one packed
+                   ``(nodes, offsets)`` pair (fan-out path)
 ``ShardStatsCmd``  serving counters of the shard replica
 ``Ping``           liveness probe (pid + per-shard request counters)
 ``Shutdown``       reply, close the pipe, exit the process
@@ -38,15 +38,12 @@ coordinator's resolver normalises it — so the pickle twin
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
-
-import numpy as np
+from typing import Any, Optional
 
 from repro.backend.shm import ShmSlice
 from repro.service.requests import ServiceRequest
 
 __all__ = [
-    "ChunkSpec",
     "ShmSlice",
     "ExecuteRequest",
     "Ping",
@@ -55,20 +52,6 @@ __all__ = [
     "ShardStatsCmd",
     "Shutdown",
 ]
-
-
-@dataclass(frozen=True)
-class ChunkSpec:
-    """One fixed-size sampling chunk of the global plan.
-
-    Carries exactly what :func:`repro.backend.base.rr_chunk_plan` emits for
-    the chunk: its set count, its private spawned seed sequence, and its
-    slice of the root cycle (``None`` for uniform roots).
-    """
-
-    count: int
-    seed: np.random.SeedSequence
-    roots: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -89,11 +72,13 @@ class ExecuteRequest:
 
 @dataclass(frozen=True)
 class SampleShard:
-    """Sample this shard's chunk range of one RR batch under *gamma*."""
+    """Sample sets ``first, first + 1, …`` (rooted at *roots*) of the RR
+    batch keyed by *key*, under *gamma*."""
 
     gamma: Any  # np.ndarray; Any keeps the dataclass eq/pickle simple
-    chunks: Tuple[ChunkSpec, ...]
-    kernel: str
+    key: int
+    first: int
+    roots: Any  # np.ndarray of int64
 
 
 @dataclass(frozen=True)

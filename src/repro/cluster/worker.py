@@ -10,10 +10,9 @@ lifetime:
   innermost handler (:meth:`~repro.service.OctopusService.handle`) and
   counts what it served in its own metrics.  Any replica can serve any
   request: the coordinator routes each one to an idle shard;
-* a **chunk-range share** of each targeted fan-out (``--executor cluster``
-  only): the shard samples exactly the chunks the coordinator assigns
-  (per-chunk spawned RNG streams from
-  :func:`repro.backend.base.rr_chunk_plan`) and returns the packed batch;
+* a **set-range share** of each targeted fan-out (``--executor cluster``
+  only): the shard samples exactly the set-index range the coordinator
+  assigns from the batch's key and roots, and returns the packed batch;
   nothing outlives the command.
 
 The worker is single-threaded and command-at-a-time: the coordinator holds
@@ -40,8 +39,7 @@ from repro.cluster.protocol import (
     Shutdown,
 )
 from repro.obs.trace import RequestTrace, trace_context
-from repro.propagation.packed import PackedRRSets
-from repro.propagation.rrsets import sample_packed_rr_sets
+from repro.propagation.kernels import sample_packed_rr_sets
 from repro.service.dispatcher import OctopusService
 from repro.service.middleware import MetricsMiddleware
 from repro.utils.logging import get_logger
@@ -154,11 +152,11 @@ class ShardWorker:
         return ShardReply(ok=True, value=response)
 
     def _handle_sample(self, command: SampleShard) -> ShardReply:
-        """Sample this shard's chunk range; reply with the packed batch.
+        """Sample this shard's set range; reply with the packed batch.
 
-        Each chunk draws from its own pre-spawned stream, exactly as a
-        pooled backend's chunk worker would — the shard boundary adds
-        scheduling, never different randomness.  The concatenated
+        The sets are keyed by the batch key and their global index,
+        exactly as a pooled backend's chunk worker samples them — the
+        shard boundary adds scheduling, never different randomness.  The
         ``(nodes, offsets)`` pair travels as one
         :class:`~repro.backend.shm.ShmSlice` in the shard's arena, rewound
         first: the coordinator copies the previous reply out before it
@@ -169,16 +167,9 @@ class ShardWorker:
         graph = backend.graph
         gamma = np.asarray(command.gamma, dtype=np.float64)
         probabilities = backend.edge_weights.edge_probabilities(gamma)
-        chunks = []
-        for spec in command.chunks:
-            rng = np.random.default_rng(spec.seed)
-            roots = list(spec.roots) if spec.roots is not None else None
-            chunks.append(
-                sample_packed_rr_sets(
-                    graph, probabilities, spec.count, rng, roots, command.kernel
-                )
-            )
-        payload = PackedRRSets.from_chunks(graph.num_nodes, chunks).chunk_payload()
+        payload = sample_packed_rr_sets(
+            graph, probabilities, command.key, command.first, command.roots
+        )
         if self.arena is not None:
             self.arena.reset()
             try:

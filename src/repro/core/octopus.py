@@ -42,7 +42,7 @@ from repro.core.topic_samples import TopicSampleIndex
 from repro.graph.digraph import SocialGraph
 from repro.index.inverted import InvertedIndex
 from repro.index.trie import Trie
-from repro.propagation.kernels import check_rr_kernel
+from repro.propagation.native import kernel_provenance
 from repro.topics.edges import TopicEdgeWeights
 from repro.topics.model import TopicModel
 from repro.utils.rng import SeedLike, spawn_generators
@@ -60,7 +60,7 @@ class OctopusConfig:
     use_topic_samples: bool = True
     num_topic_samples: int = 16
     topic_sample_max_k: int = 20
-    topic_sample_rr_sets: int = 2000
+    topic_sample_rr_sets: int = 10_000
     gap_tolerance: float = 0.3
     num_sketches: int = 300
     sketch_chunk_size: int = 1_000_000
@@ -72,8 +72,12 @@ class OctopusConfig:
     # Pure scheduling: where chunked work runs, never what it computes.
     execution_backend: str = "serial"  # serial | threads | processes
     workers: Optional[int] = None  # worker count for pooled backends
-    rr_kernel: str = "vectorized"  # vectorized | native (RR core)
     seed: SeedLike = None
+
+    @property
+    def rr_kernel(self) -> str:
+        """The RR sampling kernel: there is one (read-only, not a field)."""
+        return "counter-keyed"
 
     def __post_init__(self) -> None:
         if self.execution_backend not in ("serial", "threads", "processes"):
@@ -81,7 +85,6 @@ class OctopusConfig:
                 "execution_backend must be 'serial', 'threads' or "
                 f"'processes', got {self.execution_backend!r}"
             )
-        check_rr_kernel(self.rr_kernel)
         if self.workers is not None:
             check_positive(self.workers, "workers")
         for name in (
@@ -206,7 +209,6 @@ class Octopus:
                     num_rr_sets=config.topic_sample_rr_sets,
                     seed=rngs[1],
                     backend=self.execution,
-                    rr_kernel=config.rr_kernel,
                 )
         with self._stopwatch.phase("build.influencer_index"):
             self.influencer_index = InfluencerIndex(
@@ -373,7 +375,6 @@ class Octopus:
             num_sets=num_sets,
             seed=self.config.seed,
             backend=self.execution,
-            rr_kernel=self.config.rr_kernel,
             cover=cover,
         )
         word_ids = self.topic_model.vocabulary.ids_of(list(audience_resolved))
@@ -463,9 +464,9 @@ class Octopus:
     def statistics(self) -> Dict[str, object]:
         """Build/query timings and index sizes (cache stats live in the
         service layer, where the cache now lives).  Values are floats
-        except the ``execution.*`` identity keys (backend name, configured
-        RR kernel, and native-kernel provenance), which are strings so
-        snapshots are self-describing."""
+        except the ``execution.*`` identity keys (backend name, RR-kernel
+        provenance, payload transport), which are strings so snapshots are
+        self-describing."""
         stats: Dict[str, object] = {}
         for name, total in self._stopwatch.totals().items():
             stats[f"seconds.{name}"] = total
@@ -476,14 +477,10 @@ class Octopus:
         stats["bounds.index_size"] = float(self.bound_estimator.index_size)
         stats["execution.backend"] = self.execution.name
         stats["execution.workers"] = float(self.execution.workers)
-        stats["execution.rr_kernel"] = self.config.rr_kernel
-        # Which implementation the "native" kernel would run on (and the
-        # cover-update inner loop does run on): the compiled extension or
-        # its pure-Python twin.  Pure observability — never an answer
+        # Which path the RR kernel and the greedy cover update run on:
+        # "compiled" or "numpy".  Pure observability — never an answer
         # change — but essential for reading benchmark numbers.
-        from repro.propagation.native import kernel_provenance
-
-        stats["execution.native_kernel"] = kernel_provenance()
+        stats["execution.rr_kernel"] = kernel_provenance()
         # How chunk payloads reach the parent: "inline" (same address
         # space — serial/threads), "shm" (zero-copy arena descriptors) or
         # "pickle" (the REPRO_SHM=0 twin / non-fork fallback).

@@ -27,7 +27,6 @@ import numpy as np
 from repro.im.base import IMResult
 from repro.index.inverted import InvertedIndex
 from repro.propagation.ic import IndependentCascade
-from repro.propagation.kernels import DEFAULT_RR_KERNEL, check_rr_kernel
 from repro.propagation.rrsets import RRSetCollection
 from repro.topics.edges import TopicEdgeWeights
 
@@ -44,18 +43,19 @@ __all__ = ["CoverStep", "TargetedKeywordIM", "sample_and_cover"]
 
 #: The one replaceable step of :meth:`TargetedKeywordIM.query`:
 #: ``(engine, gamma, roots, k) -> (seeds, n-scaled covered-set spread)`` —
-#: sample one RR set per root under γ, then greedy maximum coverage.
+#: sample one RR set per root (an int64 array) under γ, then greedy
+#: maximum coverage.
 CoverStep = Callable[
-    ["TargetedKeywordIM", np.ndarray, List[int], int], Tuple[List[int], float]
+    ["TargetedKeywordIM", np.ndarray, np.ndarray, int], Tuple[List[int], float]
 ]
 
 
 def sample_and_cover(
-    engine: "TargetedKeywordIM", gamma: np.ndarray, roots: List[int], k: int
+    engine: "TargetedKeywordIM", gamma: np.ndarray, roots: np.ndarray, k: int
 ) -> Tuple[List[int], float]:
     """The local :data:`CoverStep`: sample on the engine's execution backend
-    (per-chunk spawned sub-streams keep it deterministic per query), then
-    cover in-process."""
+    (the batch key is the next draw of the engine stream, so the batch is
+    deterministic per query), then cover in-process."""
     collection = RRSetCollection.sample(
         engine.graph,
         engine.edge_weights.edge_probabilities(gamma),
@@ -63,7 +63,6 @@ def sample_and_cover(
         seed=engine._rng,
         roots=roots,
         backend=engine.backend,
-        kernel=engine.rr_kernel,
     )
     return collection.greedy_max_cover(k)
 
@@ -84,17 +83,14 @@ class TargetedKeywordIM:
         num_sets: int = 2000,
         seed: SeedLike = None,
         backend: Optional["ExecutionBackend"] = None,
-        rr_kernel: str = DEFAULT_RR_KERNEL,
         cover: Optional[CoverStep] = None,
     ) -> None:
         check_positive(num_sets, "num_sets")
-        check_rr_kernel(rr_kernel)
         self.edge_weights = edge_weights
         self.graph = edge_weights.graph
         self.inverted_index = inverted_index
         self.num_sets = num_sets
         self.backend = backend
-        self.rr_kernel = rr_kernel
         self.cover = cover if cover is not None else sample_and_cover
         self._rng = as_generator(seed)
 
@@ -160,13 +156,11 @@ class TargetedKeywordIM:
         total_weight = float(weights.sum())
         root_distribution = weights / total_weight
         # Audience-weighted roots are drawn here from the engine stream;
-        # the cover step continues from the same stream.
+        # the cover step draws the batch key from the same stream.
         roots = self._rng.choice(
             self.graph.num_nodes, size=num_sets, p=root_distribution
         )
-        seeds, covered_fraction_spread = self.cover(
-            self, gamma, [int(root) for root in roots], k
-        )
+        seeds, covered_fraction_spread = self.cover(self, gamma, roots, k)
         # greedy_max_cover scales by n; rescale to audience-weight units.
         covered_fraction = covered_fraction_spread / self.graph.num_nodes
         weighted_spread = total_weight * covered_fraction

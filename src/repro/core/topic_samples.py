@@ -33,12 +33,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.backend import ExecutionBackend, resolve_backend, seed_to_sequence
+from repro.backend.base import draw_batch_key
 from repro.core.besteffort import BestEffortKeywordIM
 from repro.im.base import IMResult
 from repro.im.ris import ris_im
-from repro.propagation.kernels import DEFAULT_RR_KERNEL, check_rr_kernel
+from repro.propagation.kernels import sample_packed_rr_sets
 from repro.propagation.packed import PackedRRSets
-from repro.propagation.rrsets import RRSetCollection, sample_packed_rr_sets
+from repro.propagation.rrsets import RRSetCollection
 from repro.topics.edges import TopicEdgeWeights
 from repro.topics.priors import sample_topic_distributions
 from repro.utils.rng import SeedLike, as_generator
@@ -74,25 +75,33 @@ class TopicSample:
 def _precompute_sample(task) -> TopicSample:
     """Backend chunk worker: one topic sample's IM seeds and prefix spreads.
 
-    One sample is one backend task: like an RR chunk worker, it draws both
-    of its RR batches with the per-chunk core straight from its own spawned
-    stream, which is what makes the partitioned build order-independent.
+    One sample is one backend task with its own spawned stream, which is
+    what makes the partitioned build order-independent.  The stream gives
+    one batch key and the uniform roots of ``num_rr_sets`` selection sets
+    followed by half as many estimation sets: sets ``0 …`` and
+    ``num_rr_sets …`` of the one keyed batch.
     """
-    edge_weights, gamma, max_k, num_rr_sets, seed_sequence, kernel = task
+    edge_weights, gamma, max_k, num_rr_sets, seed_sequence = task
     rng = np.random.default_rng(seed_sequence)
     graph = edge_weights.graph
     probabilities = edge_weights.edge_probabilities(gamma)
+    key = draw_batch_key(rng)
+    roots = rng.integers(
+        0, graph.num_nodes, size=num_rr_sets + max(num_rr_sets // 2, 1)
+    )
 
-    def draw(count: int) -> RRSetCollection:
+    def draw(start: int, stop: int) -> RRSetCollection:
         nodes, offsets = sample_packed_rr_sets(
-            graph, probabilities, count, rng, None, kernel
+            graph, probabilities, key, start, roots[start:stop]
         )
         return RRSetCollection(graph, PackedRRSets(graph.num_nodes, nodes, offsets))
 
-    result = ris_im(graph, probabilities, max_k, collection=draw(num_rr_sets))
-    # RR greedy returns nested prefixes; record each prefix's spread from
-    # the same collection for consistency.
-    collection = draw(max(num_rr_sets // 2, 1))
+    result = ris_im(
+        graph, probabilities, max_k, collection=draw(0, num_rr_sets)
+    )
+    # RR greedy returns nested prefixes; each prefix's spread is estimated
+    # on the held-out estimation sets.
+    collection = draw(num_rr_sets, roots.size)
     seeds_by_k: List[List[int]] = []
     spreads_by_k: List[float] = []
     for k in range(1, len(result.seeds) + 1):
@@ -119,11 +128,9 @@ class TopicSampleIndex:
         num_rr_sets: int = 4000,
         seed: SeedLike = None,
         backend: Optional[ExecutionBackend] = None,
-        rr_kernel: str = DEFAULT_RR_KERNEL,
     ) -> None:
         check_positive(num_samples, "num_samples")
         check_positive(max_k, "max_k")
-        check_rr_kernel(rr_kernel)
         self.edge_weights = edge_weights
         self.graph = edge_weights.graph
         self.max_k = max_k
@@ -137,7 +144,7 @@ class TopicSampleIndex:
         # identical for every backend at every worker count.
         children = seed_to_sequence(rng).spawn(num_samples)
         tasks = [
-            (self.edge_weights, gamma, self.max_k, num_rr_sets, child, rr_kernel)
+            (self.edge_weights, gamma, self.max_k, num_rr_sets, child)
             for gamma, child in zip(gammas, children)
         ]
         self.samples: List[TopicSample] = resolve_backend(backend).map_chunks(

@@ -534,7 +534,9 @@ class OctopusAsyncGateway:
             self.gateway_counters.increment(f"lane.{lane}.served")
             async with self._work_available:
                 self._queue.finish(lane)
-                self._work_available.notify_all()
+                # One slot freed: one job can start, so one waiter is
+                # enough (this worker re-checks the queue itself too).
+                self._work_available.notify(1)
 
     async def _submit(
         self,
@@ -632,14 +634,23 @@ class OctopusAsyncGateway:
     async def _read_head(
         self, reader: asyncio.StreamReader
     ) -> Optional[_Request]:
-        """Read one request line + headers (each read bounded).
+        """Read one request line + headers (under one read bound).
 
         Returns ``None`` on a clean EOF before a request line (the peer
         closed an idle keep-alive connection).  Raises ``ValueError`` on
         protocol garbage and ``asyncio.TimeoutError`` on a slow client.
         """
-        timeout = self.config.read_timeout
-        line = await asyncio.wait_for(reader.readline(), timeout)
+        return await asyncio.wait_for(
+            self._read_head_unbounded(reader), self.config.read_timeout
+        )
+
+    @staticmethod
+    async def _read_head_unbounded(
+        reader: asyncio.StreamReader,
+    ) -> Optional[_Request]:
+        """:meth:`_read_head` without its bound: awaited as one unit, so
+        lines already buffered cost no extra task or loop iteration."""
+        line = await reader.readline()
         if not line:
             return None
         started = asyncio.get_running_loop().time()
@@ -651,7 +662,7 @@ class OctopusAsyncGateway:
             raise ValueError(f"not an HTTP version: {version!r}")
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            raw = await asyncio.wait_for(reader.readline(), timeout)
+            raw = await reader.readline()
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = raw.decode("latin-1").partition(":")
@@ -1015,9 +1026,12 @@ class OctopusAsyncGateway:
         head = ("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         try:
-            await asyncio.wait_for(
-                writer.drain(), timeout=self.config.write_timeout
-            )
+            # Only a write the transport could not hand to the socket at
+            # once needs draining (and a bounded wait).
+            if writer.transport is None or writer.transport.get_write_buffer_size():
+                await asyncio.wait_for(
+                    writer.drain(), timeout=self.config.write_timeout
+                )
         except asyncio.TimeoutError:
             self.gateway_counters.increment("timeouts.write")
             transport = writer.transport

@@ -8,7 +8,7 @@ from repro.graph.generators import (
     small_world_digraph,
 )
 from repro.graph.io import read_edge_list, write_edge_list
-from repro.graph.traversal import bfs_reachable, max_probability_paths
+from repro.graph.traversal import max_probability_paths
 
 __all__ = [
     "GraphBuilder",
@@ -19,6 +19,5 @@ __all__ = [
     "small_world_digraph",
     "read_edge_list",
     "write_edge_list",
-    "bfs_reachable",
     "max_probability_paths",
 ]

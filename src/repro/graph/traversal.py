@@ -1,6 +1,6 @@
-"""Graph traversal primitives shared by the propagation and path modules.
+"""Graph traversal for the path explorer.
 
-The central routine is :func:`max_probability_paths`: a Dijkstra variant on
+:func:`max_probability_paths` is a Dijkstra variant on
 edge *activation probabilities* (multiplicative, maximised) used to build the
 maximum-influence arborescences of Section II-E and the MIA influence
 maximization baseline.
@@ -16,38 +16,7 @@ import numpy as np
 from repro.graph.digraph import SocialGraph
 from repro.utils.validation import check_in_range, check_node_id
 
-__all__ = ["bfs_reachable", "max_probability_paths"]
-
-
-def bfs_reachable(
-    graph: SocialGraph,
-    source: int,
-    *,
-    reverse: bool = False,
-    max_depth: Optional[int] = None,
-) -> np.ndarray:
-    """Nodes reachable from *source* (or reaching it, when *reverse*).
-
-    Returns a sorted array of node ids including *source* itself.
-    """
-    check_node_id(source, graph.num_nodes, "source")
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[source] = True
-    frontier = [source]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        next_frontier = []
-        for node in frontier:
-            neighbors = (
-                graph.in_neighbors(node) if reverse else graph.out_neighbors(node)
-            )
-            for neighbor in neighbors:
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    next_frontier.append(int(neighbor))
-        frontier = next_frontier
-        depth += 1
-    return np.flatnonzero(visited)
+__all__ = ["max_probability_paths"]
 
 
 def max_probability_paths(

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.graph.digraph import SocialGraph
 from repro.im.base import IMResult
-from repro.propagation.kernels import DEFAULT_RR_KERNEL
 from repro.propagation.rrsets import RRSetCollection
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_in_range, check_positive
@@ -59,20 +58,19 @@ def ris_im(
     epsilon: float = 0.3,
     seed: SeedLike = None,
     collection: Optional[RRSetCollection] = None,
-    kernel: str = DEFAULT_RR_KERNEL,
 ) -> IMResult:
     """Select *k* seeds via RR-set maximum coverage.
 
     Passing an existing *collection* skips sampling — the topic-sample index
-    reuses collections across offline precomputation this way.  *kernel*
-    selects the RR sampling core (vectorized / native).
+    reuses collections across offline precomputation this way.  Otherwise
+    the batch's key and uniform roots are drawn from *seed*.
     """
     check_positive(k, "k")
     if collection is None:
         if num_sets is None:
             num_sets = recommended_num_sets(graph.num_nodes, k, epsilon)
         collection = RRSetCollection.sample(
-            graph, edge_probabilities, num_sets, seed, kernel=kernel
+            graph, edge_probabilities, num_sets, seed
         )
     seeds, spread = collection.greedy_max_cover(k)
     return IMResult(

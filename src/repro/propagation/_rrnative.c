@@ -1,14 +1,14 @@
-/* Compiled core of the "native" RR-sampling kernel and the greedy
- * cover-update inner loop.
+/* Compiled core of the RR kernel and the greedy cover-update inner loop.
  *
- * Contract with repro.propagation.native (the loader + pure-Python twin):
+ * Contract with repro.propagation.kernels (the NumPy sampler):
  *
- * - sample_chunk() consumes coins from a splitmix64 stream seeded by the
- *   caller, one coin per gathered in-edge per BFS level, iterating the
- *   frontier in ascending node order and each node's in-CSR slice in
- *   order.  The Python fallback consumes the *same* stream in the *same*
- *   order, so the two paths are draw-for-draw identical — whichever one
- *   runs, a fixed seed produces the same packed bytes.
+ * - sample_chunk() draws the counter-keyed coin: in-edge slot s (out-CSR
+ *   edge e = in_edge_ids[s]) is live in RR set j iff
+ *   splitmix64(key + (j*E + e)*gamma) >> 11 < p_e * 2**53.  A coin depends
+ *   only on (set, edge), never on traversal order, so walking one set at
+ *   a time here and all sets of a pass together in NumPy reach the same
+ *   members.  Each set is written in canonical order (BFS level, then
+ *   ascending node), so the packed bytes are identical too.
  * - cover_update() performs the exact integer arithmetic of the NumPy
  *   cover-update step (mark uncovered member sets covered, decrement the
  *   coverage count of every member of each newly covered set), so greedy
@@ -27,26 +27,18 @@
 #include <string.h>
 
 /* ------------------------------------------------------------------ */
-/* splitmix64 — the shared coin stream                                  */
+/* splitmix64 — the counter-keyed coin                                  */
 /* ------------------------------------------------------------------ */
 
 #define SPLITMIX_GAMMA 0x9E3779B97F4A7C15ULL
 
 static inline uint64_t
-splitmix64_next(uint64_t *state)
+splitmix64(uint64_t key, uint64_t counter)
 {
-    uint64_t z = (*state += SPLITMIX_GAMMA);
+    uint64_t z = key + counter * SPLITMIX_GAMMA;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
-}
-
-/* 53-bit mantissa → double in [0, 1); bit-identical to the NumPy twin's
- * (z >> 11) * 2**-53. */
-static inline double
-splitmix64_double(uint64_t *state)
-{
-    return (double)(splitmix64_next(state) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* ------------------------------------------------------------------ */
@@ -102,9 +94,9 @@ i64buf_reserve(i64buf *buf, Py_ssize_t extra)
 
 static const char sample_chunk_doc[] =
     "sample_chunk(num_nodes, in_offsets, in_sources, in_edge_ids, "
-    "edge_probabilities, roots, seed) -> (nodes_bytes, offsets_bytes)\n\n"
-    "Sample one whole chunk of RR sets into packed (nodes, offsets) int64 "
-    "buffers, drawing coins from a splitmix64 stream seeded with *seed*.";
+    "edge_probabilities, roots, key, first) -> (nodes_bytes, offsets_bytes)\n\n"
+    "Sample RR sets first, first + 1, ... (rooted at roots) of the batch "
+    "keyed by *key* into packed (nodes, offsets) int64 buffers.";
 
 static PyObject *
 sample_chunk(PyObject *self, PyObject *args)
@@ -112,12 +104,13 @@ sample_chunk(PyObject *self, PyObject *args)
     Py_ssize_t num_nodes;
     Py_buffer in_offsets_buf, in_sources_buf, in_edge_ids_buf;
     Py_buffer probs_buf, roots_buf;
-    unsigned long long seed;
+    unsigned long long key, first;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "ny*y*y*y*y*K",
+    if (!PyArg_ParseTuple(args, "ny*y*y*y*y*KK",
                           &num_nodes, &in_offsets_buf, &in_sources_buf,
-                          &in_edge_ids_buf, &probs_buf, &roots_buf, &seed))
+                          &in_edge_ids_buf, &probs_buf, &roots_buf, &key,
+                          &first))
         return NULL;
 
     const int64_t *in_offsets = (const int64_t *)in_offsets_buf.buf;
@@ -126,6 +119,7 @@ sample_chunk(PyObject *self, PyObject *args)
     const double *probs = (const double *)probs_buf.buf;
     const int64_t *roots = (const int64_t *)roots_buf.buf;
     const Py_ssize_t count = roots_buf.len / (Py_ssize_t)sizeof(int64_t);
+    const uint64_t num_edges = (uint64_t)(probs_buf.len / (Py_ssize_t)sizeof(double));
 
     PyObject *result = NULL;
     uint8_t *visited = NULL;
@@ -150,11 +144,11 @@ sample_chunk(PyObject *self, PyObject *args)
     }
 
     Py_BEGIN_ALLOW_THREADS
-    uint64_t state = (uint64_t)seed;
     offsets[0] = 0;
     for (Py_ssize_t sample = 0; sample < count && !failed; sample++) {
         const int64_t root = roots[sample];
         const Py_ssize_t set_start = out.size;
+        const uint64_t set_base = ((uint64_t)first + (uint64_t)sample) * num_edges;
         if (root < 0 || root >= (int64_t)num_nodes) {
             failed = 1;
             break;
@@ -174,8 +168,10 @@ sample_chunk(PyObject *self, PyObject *args)
                 const int64_t start = in_offsets[node];
                 const int64_t stop = in_offsets[node + 1];
                 for (int64_t slot = start; slot < stop; slot++) {
-                    const double coin = splitmix64_double(&state);
-                    if (coin < probs[in_edge_ids[slot]]) {
+                    const int64_t edge = in_edge_ids[slot];
+                    const uint64_t coin = splitmix64(key, set_base + (uint64_t)edge) >> 11;
+                    /* u * 2**-53 < p  <=>  u < p * 2**53, both exact. */
+                    if ((double)coin < probs[edge] * 9007199254740992.0) {
                         const int64_t source = in_sources[slot];
                         if (!visited[source]) {
                             visited[source] = 1;
@@ -186,8 +182,8 @@ sample_chunk(PyObject *self, PyObject *args)
             }
             if (next_size == 0)
                 break;
-            /* The NumPy twin's np.unique(fresh): each level's new nodes,
-             * ascending.  Dedup already happened via the visited marks. */
+            /* Canonical order: each level's new nodes ascending.  Dedup
+             * already happened via the visited marks. */
             qsort(next, (size_t)next_size, sizeof(int64_t), int64_compare);
             if (!i64buf_reserve(&out, next_size)) {
                 failed = 2;
@@ -312,7 +308,7 @@ static PyMethodDef rrnative_methods[] = {
 static struct PyModuleDef rrnative_module = {
     PyModuleDef_HEAD_INIT,
     "repro.propagation._rrnative",
-    "Compiled RR-sampling and greedy cover-update cores.",
+    "Compiled core of the RR kernel and the greedy cover update.",
     -1,
     rrnative_methods,
     NULL, NULL, NULL, NULL,

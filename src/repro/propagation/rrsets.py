@@ -8,15 +8,13 @@ spread, and greedy maximum coverage over RR sets yields the standard
 query-time IM baseline and, with fixed thresholds, inside the influencer
 index of Section II-D.
 
-Sampling runs on one of two kernels (see :mod:`repro.propagation.kernels`):
-the frontier-batched ``"vectorized"`` kernel (default) or the
-chunk-batched ``"native"`` kernel whose compiled C core (optional — a
-draw-for-draw identical NumPy fallback always works) emits the packed
-payload in one call per chunk.  Batches are stored packed
+Sampling runs on the one counter-keyed kernel
+(:mod:`repro.propagation.kernels`): a batch is a pure function of its key
+and roots, whatever the chunking.  Batches are stored packed
 (:class:`~repro.propagation.packed.PackedRRSets`), which makes every
 estimator below a flat array operation; greedy max-cover's inner
-cover-update step likewise runs compiled when the extension is loaded,
-with byte-identical selections either way.
+cover-update step runs compiled when the extension is loaded, with
+byte-identical selections either way.
 """
 
 from __future__ import annotations
@@ -35,12 +33,7 @@ from typing import (
 import numpy as np
 
 from repro.graph.digraph import SocialGraph
-from repro.propagation import native
-from repro.propagation.kernels import (
-    DEFAULT_RR_KERNEL,
-    gather_csr_slices,
-    reverse_reachable_frontier,
-)
+from repro.propagation.kernels import apply_cover_seed, gather_csr_slices
 from repro.propagation.packed import PackedRRSets
 from repro.utils.rng import SeedLike
 from repro.utils.validation import ValidationError, check_positive
@@ -48,55 +41,7 @@ from repro.utils.validation import ValidationError, check_positive
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.backend.base import ExecutionBackend
 
-__all__ = ["sample_packed_rr_sets", "RRSetCollection"]
-
-
-def sample_packed_rr_sets(
-    graph: SocialGraph,
-    edge_probabilities: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-    roots: Optional[Sequence[int]] = None,
-    kernel: str = DEFAULT_RR_KERNEL,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample *count* RR sets from one RNG stream into packed arrays.
-
-    The per-chunk sampling core every execution backend's chunk worker
-    (and every cluster shard) runs.  Roots are taken per index from *roots*
-    when given, otherwise drawn uniformly from *rng*, interleaved with the
-    sampling draws.
-
-    Returns the ``(nodes, offsets)`` chunk payload
-    (:meth:`PackedRRSets.chunk_payload` form).  ``kernel="native"`` hands
-    the whole chunk to :func:`repro.propagation.native.sample_rr_chunk`
-    in one call — the compiled core (or its identical NumPy twin) writes
-    the packed buffers directly instead of packing per-sample arrays.
-    """
-    edge_probabilities = np.asarray(edge_probabilities, dtype=np.float64)
-    if kernel == "native":
-        root_array = (
-            None
-            if roots is None
-            else np.asarray(list(roots), dtype=np.int64)
-        )
-        return native.sample_rr_chunk(
-            graph, edge_probabilities, count, rng, root_array
-        )
-    arrays: List[np.ndarray] = []
-    # One boolean scratch array per chunk; each sample clears only the
-    # entries it touched, so the per-sample reset is O(|RR set|).
-    scratch = np.zeros(graph.num_nodes, dtype=bool)
-    for index in range(count):
-        if roots is not None:
-            root = int(roots[index])
-        else:
-            root = int(rng.integers(0, graph.num_nodes))
-        members = reverse_reachable_frontier(
-            graph, edge_probabilities, root, rng, visited=scratch
-        )
-        scratch[members] = False
-        arrays.append(members)
-    return PackedRRSets.from_node_arrays(graph.num_nodes, arrays).chunk_payload()
+__all__ = ["RRSetCollection"]
 
 
 class RRSetCollection:
@@ -141,16 +86,14 @@ class RRSetCollection:
         *,
         backend: Optional["ExecutionBackend"] = None,
         chunk_size: Optional[int] = None,
-        kernel: str = DEFAULT_RR_KERNEL,
     ) -> "RRSetCollection":
         """Sample *num_sets* RR sets with uniform (or given) roots.
 
-        The work is split into fixed-size chunks with per-chunk spawned RNG
-        streams (:meth:`ExecutionBackend.sample_rr_sets_packed`), so for a
-        fixed seed and kernel the result is identical on every *backend* at
-        every worker count; ``backend=None`` runs the chunks inline on a
-        :class:`~repro.backend.SerialBackend`.  The two kernels draw in
-        different orders and need not match each other.
+        The batch's key and roots come from *seed*
+        (:meth:`ExecutionBackend.sample_rr_sets_packed`), so for a fixed
+        seed the result is identical on every *backend* at every worker
+        count and *chunk_size*; ``backend=None`` runs the chunks inline on
+        a :class:`~repro.backend.SerialBackend`.
         """
         # local: repro.backend imports this package
         from repro.backend import DEFAULT_RR_CHUNK_SIZE, resolve_backend
@@ -162,7 +105,6 @@ class RRSetCollection:
             seed,
             roots=roots,
             chunk_size=DEFAULT_RR_CHUNK_SIZE if chunk_size is None else chunk_size,
-            kernel=kernel,
         )
         return cls(graph, packed)
 
@@ -199,7 +141,7 @@ class RRSetCollection:
         implementation, so selections reproduce earlier releases) and
         subtracts the member counts of the newly covered sets, so no set's
         members are walked more than once.  The cover-update inner step
-        (:func:`repro.propagation.native.apply_cover_seed`) runs on the
+        (:func:`repro.propagation.kernels.apply_cover_seed`) runs on the
         compiled extension when loaded and on the ``np.bincount`` path
         otherwise — same exact integer arithmetic, so the selection
         sequence never depends on which one ran.  Returns the seed list
@@ -220,7 +162,7 @@ class RRSetCollection:
             candidates = np.flatnonzero(coverage == best_cover)
             best = int(candidates[np.argmin(first_seen[candidates])])
             seeds.append(best)
-            native.apply_cover_seed(
+            apply_cover_seed(
                 best,
                 member_offsets,
                 member_sets,

@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.prometheus import render_exposition
+from repro.propagation.native import use_compiled
 from repro.service.responses import ServiceResponse
 
 __all__ = [
@@ -225,12 +226,18 @@ def metrics_exposition(
     ``ServiceMetrics`` and the front end's HTTP counters — never from
     ``stats()``, which on a cluster executor pings every shard; a scrape
     must stay cheap and green under saturation.
+    ``execution.rr_kernel_compiled`` is 1 when RR sets are sampled on the
+    compiled core and 0 on the NumPy path (``execution.rr_kernel`` in
+    ``/stats``).
     """
     metrics = getattr(executor, "metrics", None)
     return render_exposition(
         service_state=metrics.export_state() if metrics is not None else None,
         http_state=counters.export_state(),
-        extra={"uptime_seconds": round(time.monotonic() - started_at, 3)},
+        extra={
+            "uptime_seconds": round(time.monotonic() - started_at, 3),
+            "execution.rr_kernel_compiled": float(use_compiled()),
+        },
     )
 
 

@@ -129,9 +129,9 @@ class ServiceMetrics:
         cheaper in the metrics than it was on the wire.
         """
         with self._lock:
-            counters = self.per_service.setdefault(
-                response.service, _ServiceCounters()
-            )
+            counters = self.per_service.get(response.service)
+            if counters is None:
+                counters = self.per_service[response.service] = _ServiceCounters()
             counters.requests += 1
             if not response.ok:
                 counters.errors += 1

@@ -305,6 +305,7 @@ _RETIRED_CONFIG_FIELDS = {
     "local_radius": 2,
     "oracle": "mc",
     "oracle_rr_sets": 2000,
+    "rr_kernel": "vectorized",
 }
 
 
@@ -312,8 +313,8 @@ def _restore_config(payload: Dict[str, object]):
     """The :class:`OctopusConfig` a snapshot header describes.
 
     Anything this build cannot honour — an unknown field, a retired field
-    that would have changed answers, or a value a field no longer accepts
-    (``rr_kernel="legacy"``) — is a structured
+    that would have changed answers (``rr_kernel="native"``), or a value a
+    field no longer accepts — is a structured
     :class:`SnapshotVersionError`, never a ``TypeError`` from the
     dataclass constructor or a silently different system.
     """
@@ -332,7 +333,8 @@ def _restore_config(payload: Dict[str, object]):
     unknown = sorted(set(config) - known)
     try:
         if unknown:
-            raise ValidationError(f"unknown or retired fields {unknown}")
+            named = ", ".join(f"{key}={config[key]!r}" for key in unknown)
+            raise ValidationError(f"unknown or retired fields: {named}")
         return OctopusConfig(**config)
     except ValidationError as error:
         raise SnapshotVersionError(

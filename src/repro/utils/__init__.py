@@ -4,7 +4,7 @@ This subpackage has no dependencies on the rest of :mod:`repro`; every other
 subpackage may depend on it.
 """
 
-from repro.utils.heap import LazyGreedyQueue, TopK
+from repro.utils.heap import LazyGreedyQueue
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timer import Stopwatch, Timer
 from repro.utils.validation import (
@@ -19,7 +19,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "LazyGreedyQueue",
-    "TopK",
     "as_generator",
     "spawn_generators",
     "Stopwatch",

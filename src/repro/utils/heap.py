@@ -1,22 +1,19 @@
-"""Priority-queue utilities used across the influence-analysis algorithms.
+"""The priority queue behind the influence-analysis algorithms.
 
-Two structures are provided:
-
-* :class:`LazyGreedyQueue` — the CELF-style queue behind every lazy greedy
-  loop in the library (influence maximization, best-effort keyword IM, and
-  keyword suggestion).  Items carry a *stale* flag; the queue surfaces the
-  item with the largest cached gain and tells the caller whether that gain
-  was computed during the current round and can therefore be trusted.
-* :class:`TopK` — a bounded min-heap that keeps the *k* largest scored items.
+:class:`LazyGreedyQueue` is the CELF-style queue behind every lazy greedy
+loop in the library (influence maximization, best-effort keyword IM, and
+keyword suggestion).  Items carry a *stale* flag; the queue surfaces the
+item with the largest cached gain and tells the caller whether that gain
+was computed during the current round and can therefore be trusted.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Generic, Hashable, List, Optional, Tuple, TypeVar
 
-__all__ = ["LazyGreedyQueue", "TopK"]
+__all__ = ["LazyGreedyQueue"]
 
 T = TypeVar("T", bound=Hashable)
 
@@ -112,46 +109,3 @@ class LazyGreedyQueue(Generic[T]):
                 continue
             return -neg_gain
         return None
-
-
-class TopK(Generic[T]):
-    """Bounded collection retaining the *k* items with the largest scores.
-
-    Ties are broken by insertion order (earlier insertions win), which keeps
-    results deterministic.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self.k = k
-        self._heap: List[Tuple[float, int, T]] = []
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def add(self, item: T, score: float) -> bool:
-        """Offer ``(item, score)``; return ``True`` if it was retained."""
-        entry = (score, -next(self._counter), item)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-            return True
-        if entry[:2] > self._heap[0][:2]:
-            heapq.heapreplace(self._heap, entry)
-            return True
-        return False
-
-    def threshold(self) -> Optional[float]:
-        """Smallest retained score, or ``None`` while under capacity."""
-        if len(self._heap) < self.k:
-            return None
-        return self._heap[0][0]
-
-    def items(self) -> List[Tuple[T, float]]:
-        """Return retained ``(item, score)`` pairs, best first."""
-        ordered = sorted(self._heap, key=lambda e: (-e[0], e[1]))
-        return [(item, score) for score, _order, item in ordered]
-
-    def __iter__(self) -> Iterator[Tuple[T, float]]:
-        return iter(self.items())

@@ -11,16 +11,31 @@ from __future__ import annotations
 import contextlib
 import glob
 import os
+import time
 
 import pytest
 
 from repro.backend.shm import SESSION_PREFIX, shm_root
-from repro.cluster import ClusterCoordinator
+from repro.cluster import ClusterCoordinator, worker
 from repro.core.octopus import Octopus, OctopusConfig
 from repro.service import OctopusService
 
 #: Every shard-pipe wait in this package is bounded by this (seconds).
 CLUSTER_TIMEOUT = 20.0
+
+
+@pytest.fixture
+def stalled_sampling(monkeypatch):
+    """Shards forked after this fixture take 30 s per ``SampleShard``, so
+    a shard killed during a fan-out always dies mid-sampling, however fast
+    sampling itself is."""
+    original = worker.sample_packed_rr_sets
+
+    def stalled(*args, **kwargs):
+        time.sleep(30.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(worker, "sample_packed_rr_sets", stalled)
 
 
 def shm_session_dirs() -> list:
@@ -44,7 +59,6 @@ def no_leaked_shm_segments():
 
 def small_config(
     execution_backend: str = "serial",
-    rr_kernel: str = "vectorized",
     workers: int = 1,
 ) -> OctopusConfig:
     """Tiny index budgets on the given execution backend."""
@@ -55,7 +69,6 @@ def small_config(
         oracle_samples=15,
         execution_backend=execution_backend,
         workers=workers,
-        rr_kernel=rr_kernel,
         seed=29,
     )
 
@@ -66,13 +79,12 @@ def make_service(citation_dataset):
 
     def build(
         execution_backend: str = "serial",
-        rr_kernel: str = "vectorized",
         workers: int = 1,
     ) -> OctopusService:
         return OctopusService(
             Octopus.from_dataset(
                 citation_dataset,
-                config=small_config(execution_backend, rr_kernel, workers),
+                config=small_config(execution_backend, workers),
             )
         )
 

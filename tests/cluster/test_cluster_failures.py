@@ -34,7 +34,7 @@ def _kill_shard(cluster, shard_id: int) -> None:
 
 class TestDeadShardErrors:
     def test_kill_mid_request_yields_bounded_internal_error(
-        self, make_service, running_cluster
+        self, make_service, running_cluster, stalled_sampling
     ):
         """The in-flight request on a dying shard errors, fast and typed."""
         with running_cluster(
@@ -44,8 +44,8 @@ class TestDeadShardErrors:
 
             def serve():
                 started = time.monotonic()
-                # A huge RR budget: seconds of sampling, so the kill below
-                # is guaranteed to land mid-computation.
+                # The shard stalls in sampling (``stalled_sampling``), so
+                # the kill below is guaranteed to land mid-computation.
                 outcome["response"] = cluster.execute(
                     TargetedInfluencersRequest(
                         "data mining", k=2, num_sets=1_000_000

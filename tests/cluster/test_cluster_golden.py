@@ -3,10 +3,10 @@
 ``deterministic_form()`` of every response is **byte-identical** across the
 single-process ``OctopusService`` on any execution backend and a
 ``ClusterCoordinator`` with 1, 2 and 4 shards.  There is one sampling
-semantics — chunked, chunk streams keyed by chunk index — so every config,
-``serial`` included, takes the **fan-out** path for targeted queries:
-shards sample chunk ranges and the coordinator runs the ordinary greedy
-cover on the concatenated batch.
+semantics — every RR set keyed by the batch key and its global index — so
+every config, ``serial`` included, takes the **fan-out** path for targeted
+queries: shards sample set ranges and the coordinator runs the ordinary
+greedy cover on the concatenated batch.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.cluster import worker
+from repro.propagation import native
 from repro.service import (
     CompleteRequest,
     ExplorePathsRequest,
@@ -143,22 +144,26 @@ class TestOneAnswerUniverse:
 
 
 class TestNativeKernelShardDeterminism:
-    """``rr_kernel="native"`` honours the same byte contract: shards
-    sample their contiguous chunk ranges with the native kernel (compiled
-    or fallback — forked replicas run whichever this checkout has) and
-    1/2/4-shard output must equal the single-process service's bytes
-    through the fan-out path."""
+    """The compiled core honours the same byte contract: shards sample
+    their contiguous set ranges on whichever path this checkout has (the
+    compiled core when the extension is built) and 1/2/4-shard output must
+    equal the bytes of a single-process service built and served entirely
+    on the NumPy path."""
 
     @pytest.fixture(scope="class")
     def native_reference_forms(self, make_service):
-        service = make_service("threads", rr_kernel="native")
-        return golden_forms([service.execute(r) for r in GOLDEN_WORKLOAD])
+        forced, native._FORCED_FALLBACK = native._FORCED_FALLBACK, True
+        try:
+            service = make_service("threads")
+            return golden_forms([service.execute(r) for r in GOLDEN_WORKLOAD])
+        finally:
+            native._FORCED_FALLBACK = forced
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_native_cluster_matches_serial_service(
         self, make_service, running_cluster, native_reference_forms, shards
     ):
-        backend = make_service("threads", rr_kernel="native")
+        backend = make_service("threads")
         with running_cluster(backend, shards=shards) as cluster:
             served = cluster.execute_batch(GOLDEN_WORKLOAD)
         assert golden_forms(served) == native_reference_forms

@@ -100,7 +100,7 @@ class TestSessionLifecycle:
         assert not [p for p in shm_session_dirs() if p not in before]
 
     def test_shard_kill_mid_request_leaks_nothing(
-        self, make_service, running_cluster
+        self, make_service, running_cluster, stalled_sampling
     ):
         """A SIGKILL-ed shard cannot leak: it never owns a segment."""
         before = set(shm_session_dirs())

@@ -17,11 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.backend import SerialBackend
-from repro.backend.base import DEFAULT_RR_CHUNK_SIZE, rr_chunk_plan
+from repro.backend.base import draw_batch_key
 from repro.backend.shm import ShmArena, ShmSession, ShmSlice
 from repro.cluster.coordinator import _ShardHandle, partition_contiguous
 from repro.cluster.protocol import (
-    ChunkSpec,
     ExecuteRequest,
     Ping,
     SampleShard,
@@ -41,48 +40,42 @@ class TestSampleShardReply:
     def test_reply_is_the_serial_batch_of_the_chunk_range(
         self, worker, transport
     ):
-        """A resolved reply equals ``SerialBackend`` sampling of the same
-        chunk range — with the shard writing into a real arena or not."""
+        """A resolved reply equals the same set range of the batch
+        ``SerialBackend`` samples from the same key and roots — with the
+        shard writing into a real arena or not."""
         backend = worker.service.backend
         session = ShmSession() if transport == "shm" else None
         arena = ShmArena(session, "shard0") if session is not None else None
         worker.arena = arena
         try:
             gamma = backend.derive_gamma("data mining")
-            num_sets, low, high = 1100, 1, 4
-            roots = [3, 1, 4, 1, 5, 9, 2, 6]
-            plan = rr_chunk_plan(
-                num_sets, DEFAULT_RR_CHUNK_SIZE, np.random.SeedSequence(7), roots
-            )
+            probabilities = backend.edge_weights.edge_probabilities(gamma)
+            num_sets = 1100
+            roots = np.resize([3, 1, 4, 1, 5, 9, 2, 6], num_sets)
+            start, stop = 300, 1000
             reply = worker.handle(
                 SampleShard(
                     gamma=gamma,
-                    chunks=tuple(
-                        ChunkSpec(count=count, seed=child, roots=tuple(chunk_roots))
-                        for count, child, chunk_roots in plan[low:high]
-                    ),
-                    kernel=backend.config.rr_kernel,
+                    key=draw_batch_key(np.random.default_rng(7)),
+                    first=start,
+                    roots=roots[start:stop],
                 )
             )
             assert reply.ok
             assert isinstance(reply.value, ShmSlice) == (transport == "shm")
             handle = _ShardHandle(0, None, None, arena)
             nodes, offsets = handle.resolve(reply.value)
-            # The reference: the same chunk range (plan offset low·chunk
-            # size, same spawned streams) sampled by the serial backend.
-            sequence = np.random.SeedSequence(7)
-            sequence.spawn(low)  # the chunks before the range
-            start = low * DEFAULT_RR_CHUNK_SIZE
-            expected = SerialBackend().sample_rr_sets_packed(
+            # The reference: the whole batch, keyed by the same first draw.
+            batch = SerialBackend().sample_rr_sets_packed(
                 backend.graph,
-                backend.edge_weights.edge_probabilities(gamma),
-                sum(count for count, _, _ in plan[low:high]),
-                sequence,
-                roots=[roots[(start + i) % len(roots)] for i in range(len(roots))],
-                kernel=backend.config.rr_kernel,
+                probabilities,
+                num_sets,
+                np.random.default_rng(7),
+                roots=roots,
             )
-            assert np.array_equal(nodes, expected.nodes)
-            assert np.array_equal(offsets, expected.offsets)
+            low, high = batch.offsets[start], batch.offsets[stop]
+            assert np.array_equal(nodes, batch.nodes[low:high])
+            assert np.array_equal(offsets, batch.offsets[start:stop + 1] - low)
         finally:
             if arena is not None:
                 arena.close()

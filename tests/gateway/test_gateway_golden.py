@@ -181,7 +181,6 @@ class TestCLIGoldenReplay:
             fast=True,
             backend="serial",
             workers=2 if executor != "serial" else None,
-            rr_kernel="vectorized",
         )
         service = _load_service(arguments)
         if executor != "serial":

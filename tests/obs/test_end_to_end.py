@@ -22,6 +22,7 @@ from repro.obs import (
     trace_context,
 )
 from repro.obs.prometheus import CONTENT_TYPE, validate_exposition
+from repro.propagation.native import use_compiled
 from repro.service import FindInfluencersRequest, OctopusService
 from repro.service.responses import ServiceResponse, deterministic_form
 
@@ -80,6 +81,8 @@ class TestMetricsEndpointThreaded:
         assert 'octopus_service_requests_total{service="influencers"} 1' in body
         assert "# TYPE octopus_service_latency_ms histogram" in body
         assert 'octopus_stat{key="uptime_seconds"}' in body
+        compiled = "1" if use_compiled() else "0"
+        assert f'octopus_stat{{key="execution.rr_kernel_compiled"}} {compiled}' in body
 
     def test_fresh_server_scrapes_cleanly(self, backend, running_server):
         with running_server(OctopusService(backend)) as server:

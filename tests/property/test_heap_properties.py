@@ -1,12 +1,10 @@
-"""Property-based tests for LazyGreedyQueue, TopK and the LRU cache."""
-
-import heapq
+"""Property-based tests for LazyGreedyQueue and the LRU cache."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.cache import LRUCache
-from repro.utils.heap import LazyGreedyQueue, TopK
+from repro.utils.heap import LazyGreedyQueue
 
 
 @given(
@@ -29,23 +27,6 @@ def test_queue_pops_in_descending_order_of_latest_gain(pushes):
         popped.append(gain)
     assert popped == sorted(popped, reverse=True)
     assert len(popped) == len(latest)
-
-
-@given(
-    st.integers(1, 10),
-    st.lists(st.tuples(st.integers(), st.floats(-1e6, 1e6)), max_size=60),
-)
-@settings(max_examples=200, deadline=None)
-def test_topk_matches_sorted_reference(k, items):
-    top = TopK(k)
-    for index, (item, score) in enumerate(items):
-        top.add((index, item), score)
-    expected = heapq.nlargest(
-        k, enumerate(items), key=lambda pair: (pair[1][1], -pair[0])
-    )
-    expected_scores = [score for _i, (_item, score) in expected]
-    actual_scores = [score for _item, score in top.items()]
-    assert actual_scores == expected_scores
 
 
 @given(

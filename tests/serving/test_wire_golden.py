@@ -173,7 +173,6 @@ class TestCLIGoldenReplay:
             fast=True,
             backend="serial",
             workers=2 if executor != "serial" else None,
-            rr_kernel="vectorized",
         )
         service = _load_service(arguments)
         if executor != "serial":
@@ -225,7 +224,6 @@ class TestCLIGoldenReplay:
             fast=True,
             backend="serial",
             workers=None,
-            rr_kernel="vectorized",
         )
         server_service = _load_service(arguments)
         server = serve_in_background(server_service, request_timeout=5.0)

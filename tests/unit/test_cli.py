@@ -231,16 +231,9 @@ class TestBackendOptions:
         with pytest.raises(SystemExit):
             parser.parse_args(["stats", "dir", "--backend", "quantum"])
 
-    def test_parser_accepts_rr_kernel(self):
-        parser = build_parser()
-        assert parser.parse_args(["stats", "dir"]).rr_kernel == "vectorized"
-        assert (
-            parser.parse_args(["stats", "dir", "--rr-kernel", "native"]).rr_kernel
-            == "native"
-        )
-
-    @pytest.mark.parametrize("kernel", ["cuda", "legacy"])
+    @pytest.mark.parametrize("kernel", ["cuda", "legacy", "vectorized", "native"])
     def test_parser_rejects_unknown_rr_kernel(self, kernel):
+        """There is one RR kernel: the retired flag is rejected outright."""
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["stats", "dir", "--rr-kernel", kernel])

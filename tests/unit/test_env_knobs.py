@@ -68,7 +68,7 @@ class TestNativeKnob:
         for value in ("0", "off", "fallback"):
             monkeypatch.setenv("REPRO_NATIVE", value)
             assert not native.use_compiled()
-            assert native.kernel_provenance() == "native-fallback"
+            assert native.kernel_provenance() == "numpy"
         monkeypatch.setenv("REPRO_NATIVE", "1")
         assert native.use_compiled() == native.HAVE_COMPILED
 

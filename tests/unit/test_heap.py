@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.heap import LazyGreedyQueue, TopK
+from repro.utils.heap import LazyGreedyQueue
 
 
 class TestLazyGreedyQueue:
@@ -99,42 +99,3 @@ class TestLazyGreedyQueue:
             else:
                 queue.push(item, true_gain[item])
         assert selected == ["a", "b"]
-
-
-class TestTopK:
-    def test_retains_k_largest(self):
-        top = TopK(2)
-        for item, score in [("a", 1.0), ("b", 5.0), ("c", 3.0)]:
-            top.add(item, score)
-        assert [item for item, _s in top.items()] == ["b", "c"]
-
-    def test_add_returns_retention(self):
-        top = TopK(1)
-        assert top.add("a", 1.0)
-        assert top.add("b", 2.0)
-        assert not top.add("c", 0.5)
-
-    def test_threshold(self):
-        top = TopK(2)
-        assert top.threshold() is None
-        top.add("a", 1.0)
-        assert top.threshold() is None
-        top.add("b", 2.0)
-        assert top.threshold() == 1.0
-
-    def test_ties_keep_earlier_insertion(self):
-        top = TopK(1)
-        top.add("first", 1.0)
-        top.add("second", 1.0)
-        assert top.items() == [("first", 1.0)]
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            TopK(0)
-
-    def test_iter_matches_items(self):
-        top = TopK(3)
-        for index in range(5):
-            top.add(index, float(index))
-        assert list(top) == top.items()
-        assert len(top) == 3

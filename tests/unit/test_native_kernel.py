@@ -1,16 +1,15 @@
-"""Contracts specific to the ``native`` RR kernel.
+"""Contracts of the optional compiled core and the coin it shares.
 
-The shared kernel contracts — exact world-enumeration distribution, seed
-stability across serial/threads/processes at workers 1/2/4 — run over
-``native`` in ``test_rr_kernels.py`` alongside the other kernels.  This
-module covers what is unique to ``native``:
+The kernel's own contract — exact coin, canonical order, distribution,
+chunk and backend invariance — is in ``test_rr_kernels.py``, on both
+paths.  This module covers what the compiled core adds:
 
-* the splitmix64 coin stream is counter-based, so call-size interleaving
-  (per level in NumPy, per edge in C) cannot change the draws;
-* the compiled extension and the pure-Python fallback are draw-for-draw
-  **bitwise** identical, all the way up to service
-  ``deterministic_form()`` bytes;
-* contiguous chunk-range partitions — the cluster coordinator's shard
+* splitmix64 is counter-based: output ``c`` is ``mix(key + c·γ)`` however
+  the counters are batched, which is what lets the C core and NumPy draw
+  the same coins;
+* the compiled core and the NumPy sampler are **bitwise** identical, all
+  the way up to service ``deterministic_form()`` bytes;
+* contiguous set-range partitions — the cluster coordinator's shard
   seam — concatenate to the serial batch at 1/2/4 shards;
 * the compiled greedy cover-update preserves the exact selection and
   tie-break sequence;
@@ -25,15 +24,15 @@ import numpy as np
 import pytest
 
 from repro.backend import SerialBackend
-from repro.backend.base import rr_chunk_plan
+from repro.backend.base import draw_batch_key, rr_chunk_plan
 from repro.cluster import partition_contiguous
 from repro.graph.digraph import SocialGraph
 from repro.propagation import native
+from repro.propagation.kernels import sample_packed_rr_sets
 from repro.propagation.native import (
     HAVE_COMPILED,
-    SplitMix64Stream,
     kernel_provenance,
-    sample_rr_chunk,
+    splitmix64,
     use_compiled,
 )
 from repro.propagation.packed import PackedRRSets
@@ -60,46 +59,59 @@ def _reference_splitmix64(seed: int, count: int) -> list:
     return out
 
 
+def _coins(key: int, counters) -> np.ndarray:
+    """The kernel's 53-bit coins as doubles in ``[0, 1)``."""
+    z = splitmix64(key, np.asarray(counters, dtype=np.uint64).copy())
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 class TestSplitMix64Stream:
+    """splitmix64 as a counter-indexed stream: output ``c`` (1-based in the
+    textbook sequential form) is ``mix(key + c·γ)``."""
+
     def test_matches_scalar_reference(self):
-        stream = SplitMix64Stream(0xDEADBEEF)
         np.testing.assert_array_equal(
-            stream.random(32), _reference_splitmix64(0xDEADBEEF, 32)
+            _coins(0xDEADBEEF, np.arange(1, 33)),
+            _reference_splitmix64(0xDEADBEEF, 32),
         )
 
     def test_call_size_invariance(self):
-        """Drawing 100 at once == drawing 7 + 13 + 80 (C vs NumPy seam)."""
-        whole = SplitMix64Stream(424242).random(100)
-        split = SplitMix64Stream(424242)
+        """Counters 0‥99 at once == 7 + 13 + 80 (the C vs NumPy seam)."""
+        whole = _coins(424242, np.arange(100))
         parts = np.concatenate(
-            [split.random(7), split.random(13), split.random(80)]
+            [
+                _coins(424242, np.arange(0, 7)),
+                _coins(424242, np.arange(7, 20)),
+                _coins(424242, np.arange(20, 100)),
+            ]
         )
         np.testing.assert_array_equal(whole, parts)
 
     def test_unit_interval(self):
-        draws = SplitMix64Stream(7).random(4096)
+        draws = _coins(7, np.arange(4096))
         assert draws.min() >= 0.0
         assert draws.max() < 1.0
         # 53-bit mantissas actually spread over the interval
         assert draws.std() > 0.2
 
     def test_zero_count(self):
-        assert SplitMix64Stream(1).random(0).size == 0
+        assert _coins(1, np.arange(0)).size == 0
 
 
 class TestProvenance:
     def test_provenance_matches_dispatch(self):
-        assert kernel_provenance() in ("native-compiled", "native-fallback")
-        expected = "native-compiled" if use_compiled() else "native-fallback"
+        assert kernel_provenance() in ("compiled", "numpy")
+        expected = "compiled" if use_compiled() else "numpy"
         assert kernel_provenance() == expected
 
     def test_forced_fallback_flag(self, monkeypatch):
         monkeypatch.setattr(native, "_FORCED_FALLBACK", True)
         assert not use_compiled()
-        assert kernel_provenance() == "native-fallback"
+        assert kernel_provenance() == "numpy"
 
     def test_env_knob_forces_fallback_in_fresh_interpreter(self):
-        """``REPRO_NATIVE=0`` downgrades provenance without code changes."""
+        """``REPRO_NATIVE=0`` downgrades provenance without code changes,
+        and importing the package prints nothing."""
         env = dict(os.environ, REPRO_NATIVE="0")
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
@@ -107,49 +119,55 @@ class TestProvenance:
             [
                 sys.executable,
                 "-c",
+                "import sys, repro, repro.cli;"
                 "from repro.propagation.native import kernel_provenance;"
-                "print(kernel_provenance())",
+                "sys.stderr.write(kernel_provenance())",
             ],
             capture_output=True,
             text=True,
             env=env,
             check=True,
         )
-        assert result.stdout.strip() == "native-fallback"
+        assert result.stdout == ""
+        assert result.stderr.strip() == "numpy"
 
 
 class TestCompiledFallbackIdentity:
-    """The compiled core and the NumPy twin emit the same bytes."""
+    """The compiled core and the NumPy sampler emit the same bytes."""
 
-    def _chunk(self, graph, probabilities, forced, monkeypatch, roots=None):
+    def _chunk(self, graph, probabilities, forced, monkeypatch, first=0):
         monkeypatch.setattr(native, "_FORCED_FALLBACK", forced)
-        rng = np.random.default_rng(5)
-        return sample_rr_chunk(graph, probabilities, 200, rng, roots)
+        roots = np.arange(2500, dtype=np.int64) * 7 % graph.num_nodes
+        return sample_packed_rr_sets(graph, probabilities, 5, first, roots)
 
     @needs_compiled
+    @pytest.mark.parametrize("first", [0, 4099])
     def test_chunk_draws_identical(
-        self, medium_graph, medium_probabilities, monkeypatch
+        self, medium_graph, medium_probabilities, monkeypatch, first
     ):
         compiled = self._chunk(
-            medium_graph, medium_probabilities, False, monkeypatch
+            medium_graph, medium_probabilities, False, monkeypatch, first
         )
         fallback = self._chunk(
-            medium_graph, medium_probabilities, True, monkeypatch
+            medium_graph, medium_probabilities, True, monkeypatch, first
         )
         np.testing.assert_array_equal(compiled[0], fallback[0])
         np.testing.assert_array_equal(compiled[1], fallback[1])
 
     @needs_compiled
-    def test_chunk_draws_identical_with_fixed_roots(
-        self, medium_graph, medium_probabilities, monkeypatch
-    ):
-        roots = np.arange(200, dtype=np.int64) % medium_graph.num_nodes
-        compiled = self._chunk(
-            medium_graph, medium_probabilities, False, monkeypatch, roots
-        )
-        fallback = self._chunk(
-            medium_graph, medium_probabilities, True, monkeypatch, roots
-        )
+    def test_dense_chunk_draws_identical(self, monkeypatch):
+        """Large RR sets: many levels and many gather rounds per pass."""
+        rng = np.random.default_rng(12)
+        edges = [
+            (int(source), target)
+            for target in range(300)
+            for source in rng.choice(np.delete(np.arange(300), target), 6, False)
+        ]
+        graph = SocialGraph.from_edges(300, edges)
+        dense = rng.uniform(0.1, 0.5, graph.num_edges)
+        compiled = self._chunk(graph, dense, False, monkeypatch)
+        fallback = self._chunk(graph, dense, True, monkeypatch)
+        assert compiled[0].size > 50 * 2500
         np.testing.assert_array_equal(compiled[0], fallback[0])
         np.testing.assert_array_equal(compiled[1], fallback[1])
 
@@ -162,11 +180,7 @@ class TestCompiledFallbackIdentity:
             monkeypatch.setattr(native, "_FORCED_FALLBACK", forced)
             batches.append(
                 SerialBackend().sample_rr_sets_packed(
-                    medium_graph,
-                    medium_probabilities,
-                    300,
-                    seed=17,
-                    kernel="native",
+                    medium_graph, medium_probabilities, 3000, seed=17
                 )
             )
         np.testing.assert_array_equal(batches[0].nodes, batches[1].nodes)
@@ -181,11 +195,7 @@ class TestCompiledFallbackIdentity:
         for forced in (False, True):
             monkeypatch.setattr(native, "_FORCED_FALLBACK", forced)
             collection = RRSetCollection.sample(
-                medium_graph,
-                medium_probabilities,
-                800,
-                seed=23,
-                kernel="native",
+                medium_graph, medium_probabilities, 800, seed=23
             )
             results.append(collection.greedy_max_cover(8))
         assert results[0][0] == results[1][0]  # seed lists, in order
@@ -193,40 +203,42 @@ class TestCompiledFallbackIdentity:
 
 
 class TestShardPartitionStability:
-    """Contiguous chunk ranges — the cluster seam — recombine exactly.
+    """Contiguous set ranges — the cluster seam — recombine exactly.
 
     This simulates what :class:`repro.cluster.coordinator.ClusterCoordinator`
-    does for the distributed cover path: one chunk plan, split into
-    contiguous ranges per shard, each range sampled independently, results
-    concatenated in plan order.  At any shard count the bytes must equal
-    the serial backend's batch.
+    does for the distributed cover path: one batch key, the chunk plan
+    split into contiguous ranges per shard, each range sampled
+    independently, results concatenated in plan order.  At any shard count
+    the bytes must equal the serial backend's batch.
     """
+
+    def _recombined(self, graph, probabilities, seed, roots, shards):
+        rng = np.random.default_rng(seed)
+        key = draw_batch_key(rng)
+        if roots is None:
+            roots = rng.integers(0, graph.num_nodes, size=3000)
+        plan = rr_chunk_plan(3000, 512)
+        payloads = []
+        for low, high in partition_contiguous(len(plan), shards):
+            if low == high:
+                continue
+            start, stop = plan[low][0], plan[high - 1][1]
+            payloads.append(
+                sample_packed_rr_sets(
+                    graph, probabilities, key, start, roots[start:stop]
+                )
+            )
+        return PackedRRSets.from_chunks(graph.num_nodes, payloads)
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_partitioned_sampling_matches_serial(
         self, medium_graph, medium_probabilities, shards
     ):
         reference = SerialBackend().sample_rr_sets_packed(
-            medium_graph,
-            medium_probabilities,
-            300,
-            seed=21,
-            chunk_size=64,
-            kernel="native",
+            medium_graph, medium_probabilities, 3000, seed=21
         )
-        plan = rr_chunk_plan(300, 64, np.random.SeedSequence(21), None)
-        payloads = []
-        for low, high in partition_contiguous(len(plan), shards):
-            for count, child, chunk_roots in plan[low:high]:
-                assert chunk_roots is None
-                rng = np.random.default_rng(child)
-                payloads.append(
-                    sample_rr_chunk(
-                        medium_graph, medium_probabilities, count, rng
-                    )
-                )
-        recombined = PackedRRSets.from_chunks(
-            medium_graph.num_nodes, payloads
+        recombined = self._recombined(
+            medium_graph, medium_probabilities, 21, None, shards
         )
         np.testing.assert_array_equal(recombined.nodes, reference.nodes)
         np.testing.assert_array_equal(recombined.offsets, reference.offsets)
@@ -235,43 +247,25 @@ class TestShardPartitionStability:
     def test_partitioned_sampling_with_root_cycle(
         self, medium_graph, medium_probabilities, shards
     ):
-        """The weighted/targeted path pre-assigns roots per chunk slice."""
+        """The weighted/targeted path hands each shard its slice of roots."""
         root_cycle = [3, 1, 4, 1, 5, 9, 2, 6]
         reference = SerialBackend().sample_rr_sets_packed(
+            medium_graph, medium_probabilities, 3000, seed=34, roots=root_cycle
+        )
+        recombined = self._recombined(
             medium_graph,
             medium_probabilities,
-            300,
-            seed=34,
-            roots=root_cycle,
-            chunk_size=64,
-            kernel="native",
-        )
-        plan = rr_chunk_plan(300, 64, np.random.SeedSequence(34), root_cycle)
-        payloads = []
-        for low, high in partition_contiguous(len(plan), shards):
-            for count, child, chunk_roots in plan[low:high]:
-                rng = np.random.default_rng(child)
-                payloads.append(
-                    sample_rr_chunk(
-                        medium_graph,
-                        medium_probabilities,
-                        count,
-                        rng,
-                        np.asarray(chunk_roots, dtype=np.int64),
-                    )
-                )
-        recombined = PackedRRSets.from_chunks(
-            medium_graph.num_nodes, payloads
+            34,
+            np.resize(root_cycle, 3000),
+            shards,
         )
         np.testing.assert_array_equal(recombined.nodes, reference.nodes)
         np.testing.assert_array_equal(recombined.offsets, reference.offsets)
 
 
-class TestNativeAgreesWithVectorizedWhenDrawsCannotMatter:
-    """With 0/1 probabilities the coin stream is irrelevant: both
-    frontier-ordered kernels must emit byte-identical packed arrays, and
-    greedy selection over them must pick the same seeds with tied spreads.
-    """
+class TestSureEdges:
+    """With 0/1 probabilities the coins are irrelevant: every path and
+    every key gives the same packed arrays and the same greedy seeds."""
 
     @pytest.fixture(scope="class")
     def sure_graph(self):
@@ -279,63 +273,34 @@ class TestNativeAgreesWithVectorizedWhenDrawsCannotMatter:
             6, [(0, 2), (1, 2), (2, 4), (3, 4), (4, 5), (0, 5)]
         )
 
-    def test_packed_arrays_identical_on_sure_edges(self, sure_graph):
-        roots = list(range(6))
-        batches = {}
-        for kernel in ("vectorized", "native"):
-            batches[kernel] = SerialBackend().sample_rr_sets_packed(
-                sure_graph,
-                np.ones(6),
-                60,
-                seed=2,
-                roots=roots,
-                kernel=kernel,
+    @pytest.mark.parametrize("forced", [False, True], ids=["default", "numpy"])
+    def test_packed_arrays_identical_on_sure_edges(
+        self, sure_graph, monkeypatch, forced
+    ):
+        monkeypatch.setattr(native, "_FORCED_FALLBACK", forced)
+        batches = [
+            SerialBackend().sample_rr_sets_packed(
+                sure_graph, np.ones(6), 60, seed=seed, roots=list(range(6))
             )
-        np.testing.assert_array_equal(
-            batches["native"].nodes, batches["vectorized"].nodes
-        )
-        np.testing.assert_array_equal(
-            batches["native"].offsets, batches["vectorized"].offsets
-        )
+            for seed in (2, 3)
+        ]
+        np.testing.assert_array_equal(batches[0].nodes, batches[1].nodes)
+        np.testing.assert_array_equal(batches[0].offsets, batches[1].offsets)
+        assert batches[0].set_nodes(5).tolist() == [5, 0, 4, 2, 3, 1]
 
     def test_greedy_seeds_identical_on_sure_edges(self, sure_graph):
-        selections = {}
-        for kernel in ("vectorized", "native"):
-            collection = RRSetCollection.sample(
-                sure_graph,
-                np.ones(6),
-                60,
-                seed=2,
-                roots=list(range(6)),
-                kernel=kernel,
-            )
-            selections[kernel] = collection.greedy_max_cover(2)
-        assert selections["native"] == selections["vectorized"]
-
-    def test_blocked_edges_give_singletons(self, sure_graph):
-        rng = np.random.default_rng(0)
-        nodes, offsets = sample_rr_chunk(
-            sure_graph,
-            np.zeros(6),
-            6,
-            rng,
-            np.arange(6, dtype=np.int64),
-        )
-        np.testing.assert_array_equal(nodes, np.arange(6))
-        np.testing.assert_array_equal(offsets, np.arange(7))
-
-    def test_single_node_graph(self):
-        graph = SocialGraph.from_edges(1, [])
-        rng = np.random.default_rng(3)
-        nodes, offsets = sample_rr_chunk(
-            graph, np.empty(0), 5, rng, np.zeros(5, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(nodes, np.zeros(5, dtype=np.int64))
-        np.testing.assert_array_equal(offsets, np.arange(6))
+        selections = [
+            RRSetCollection.sample(
+                sure_graph, np.ones(6), 60, seed=seed, roots=list(range(6))
+            ).greedy_max_cover(2)
+            for seed in (2, 3)
+        ]
+        assert selections[0] == selections[1]
+        assert selections[0][0] == [0, 1]
 
 
 class TestServiceBytesAcrossPaths:
-    """``deterministic_form`` bytes survive the compiled/fallback switch."""
+    """``deterministic_form`` bytes survive the compiled/NumPy switch."""
 
     @pytest.fixture(scope="class")
     def small_dataset(self):
@@ -356,6 +321,7 @@ class TestServiceBytesAcrossPaths:
         from repro.service import (
             FindInfluencersRequest,
             OctopusService,
+            TargetedInfluencersRequest,
             deterministic_form,
         )
 
@@ -367,15 +333,17 @@ class TestServiceBytesAcrossPaths:
                 num_topic_samples=3,
                 topic_sample_rr_sets=120,
                 oracle_samples=10,
-                rr_kernel="native",
                 seed=91,
             )
             service = OctopusService(
                 Octopus.from_dataset(small_dataset, config=config)
             )
-            response = service.execute(
-                FindInfluencersRequest("data mining", k=3)
-            )
-            assert response.ok
-            forms.append(deterministic_form(response))
+            responses = [
+                service.execute(FindInfluencersRequest("data mining", k=3)),
+                service.execute(
+                    TargetedInfluencersRequest("data mining", k=2, num_sets=900)
+                ),
+            ]
+            assert all(response.ok for response in responses)
+            forms.append([deterministic_form(r) for r in responses])
         assert forms[0] == forms[1]

@@ -211,23 +211,25 @@ class TestExecutionBackends:
             OctopusConfig(workers=0)
 
     def test_config_validates_rr_kernel(self):
-        for retired_or_unknown in ("cuda", "legacy"):
-            with pytest.raises(ValidationError):
+        """`rr_kernel` is a read-only name, not a field: there is one kernel."""
+        from dataclasses import fields
+
+        for retired_or_unknown in ("cuda", "legacy", "vectorized", "native"):
+            with pytest.raises(TypeError):
                 OctopusConfig(rr_kernel=retired_or_unknown)
-        assert OctopusConfig().rr_kernel == "vectorized"
-        assert OctopusConfig(rr_kernel="native").rr_kernel == "native"
+        assert "rr_kernel" not in {field.name for field in fields(OctopusConfig)}
+        assert OctopusConfig().rr_kernel == "counter-keyed"
+        with pytest.raises(AttributeError):
+            OctopusConfig().rr_kernel = "native"
 
     def test_statistics_report_kernel_provenance(self, system):
-        """`execution.rr_kernel` + native provenance surface in stats."""
+        """`execution.rr_kernel` says which path samples: compiled or numpy."""
         from repro.propagation.native import kernel_provenance
 
         stats = system.statistics()
-        assert stats["execution.rr_kernel"] == system.config.rr_kernel
-        assert stats["execution.native_kernel"] == kernel_provenance()
-        assert stats["execution.native_kernel"] in (
-            "native-compiled",
-            "native-fallback",
-        )
+        assert stats["execution.rr_kernel"] == kernel_provenance()
+        assert stats["execution.rr_kernel"] in ("compiled", "numpy")
+        assert "execution.native_kernel" not in stats
 
     def test_builds_agree_on_every_backend(self, citation_dataset_module):
         """serial, threads and processes builds answer queries identically."""

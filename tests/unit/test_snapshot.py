@@ -127,6 +127,7 @@ class TestRoundtrip:
             ("local_radius", 2),
             ("oracle", "mc"),
             ("oracle_rr_sets", 2000),
+            ("rr_kernel", "vectorized"),
         ],
     )
     def test_retired_key_still_loads(
@@ -245,8 +246,9 @@ class TestRejection:
             ("sketch_expansion", "node", "sketch_expansion"),
             ("bound_estimator", "local", "bound_estimator"),
             ("oracle", "ris", "oracle"),
-            # retired value of a live field
+            # retired field: the values that are not its retired default
             ("rr_kernel", "legacy", "legacy"),
+            ("rr_kernel", "native", "native"),
             # a field this build has never heard of
             ("warp_drive", True, "warp_drive"),
         ],

@@ -4,31 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.digraph import SocialGraph
-from repro.graph.traversal import bfs_reachable, max_probability_paths
+from repro.graph.traversal import max_probability_paths
 from repro.utils.validation import ValidationError
-
-
-class TestBfsReachable:
-    def test_forward(self, line_graph):
-        np.testing.assert_array_equal(bfs_reachable(line_graph, 1), [1, 2, 3])
-
-    def test_reverse(self, line_graph):
-        np.testing.assert_array_equal(
-            bfs_reachable(line_graph, 2, reverse=True), [0, 1, 2]
-        )
-
-    def test_max_depth(self, line_graph):
-        np.testing.assert_array_equal(
-            bfs_reachable(line_graph, 0, max_depth=1), [0, 1]
-        )
-
-    def test_isolated_node(self):
-        graph = SocialGraph.from_edges(3, [(0, 1)])
-        np.testing.assert_array_equal(bfs_reachable(graph, 2), [2])
-
-    def test_invalid_source(self, line_graph):
-        with pytest.raises(ValidationError):
-            bfs_reachable(line_graph, 10)
 
 
 class TestMaxProbabilityPaths:
