@@ -343,7 +343,7 @@ class TestSeedStability:
     """Fixed seed ⇒ identical packed arrays on any backend and worker count."""
 
     def test_backends_and_worker_counts_agree(
-        self, medium_graph, medium_probabilities
+        self, medium_graph, medium_probabilities, path
     ):
         reference = SerialBackend().sample_rr_sets_packed(
             medium_graph, medium_probabilities, 3000, seed=17
@@ -361,7 +361,7 @@ class TestSeedStability:
             np.testing.assert_array_equal(packed.offsets, reference.offsets)
 
     def test_collection_sample_matches_packed_backend_path(
-        self, medium_graph, medium_probabilities
+        self, medium_graph, medium_probabilities, path
     ):
         direct = SerialBackend().sample_rr_sets_packed(
             medium_graph, medium_probabilities, 120, seed=3
