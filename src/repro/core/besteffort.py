@@ -35,7 +35,8 @@ pruning" device of [3].
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+import threading
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -111,6 +112,20 @@ class BestEffortKeywordIM:
         self.bound_estimator = bound_estimator
         self.num_samples = num_samples
         self._entropy = _base_entropy(seed)
+        self._oracle_lock = threading.Lock()
+        self._oracle_explores = 0
+        self._oracle_memo_hits = 0
+
+    def oracle_counters(self) -> Dict[str, float]:
+        """Cumulative oracle work over every query so far: cascades walked
+        (``oracle_explores``) and marginal reaches recalled from the memo
+        (``oracle_memo_hits``).  Observability only: answers and their
+        ``statistics`` never depend on them."""
+        with self._oracle_lock:
+            return {
+                "oracle_explores": float(self._oracle_explores),
+                "oracle_memo_hits": float(self._oracle_memo_hits),
+            }
 
     # ------------------------------------------------------------------
 
@@ -196,6 +211,9 @@ class BestEffortKeywordIM:
 
         final_spread = oracle.spread(seeds) if seeds else 0.0
         exact_evaluations += 1 if seeds else 0
+        with self._oracle_lock:
+            self._oracle_explores += oracle.explores
+            self._oracle_memo_hits += oracle.memo_hits
         statistics = {
             "exact_evaluations": float(exact_evaluations),
             "candidates_considered": float(len(order)),

@@ -475,6 +475,8 @@ class Octopus:
         if self.topic_sample_index is not None:
             stats["topic_samples.count"] = float(len(self.topic_sample_index))
         stats["bounds.index_size"] = float(self.bound_estimator.index_size)
+        for key, value in self.best_effort.oracle_counters().items():
+            stats[f"best_effort.{key}"] = value
         stats["execution.backend"] = self.execution.name
         stats["execution.workers"] = float(self.execution.workers)
         # Which path the RR kernel and the greedy cover update run on:

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.graph.digraph import SocialGraph
-from repro.propagation.native import splitmix64
+from repro.propagation.native import coin_thresholds, live_coins
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError, check_node_id, check_positive
 
@@ -26,11 +26,8 @@ __all__ = ["CascadeWorlds", "IndependentCascade"]
 
 #: Queued pairs and gathered edges per step of :class:`CascadeWorlds`:
 #: they bound the step's temporaries to a few arrays of 8-byte words.
-_STEP_PAIRS = 1024
-_STEP_EDGES = 4096
-
-#: Pair marks of :class:`CascadeWorlds` (0 = unmarked).
-_KEPT, _TENTATIVE = 1, 2
+_STEP_PAIRS = 16384
+_STEP_EDGES = 16384
 
 
 def _check_seeds(graph: SocialGraph, seeds: Sequence[int]) -> Tuple[int, ...]:
@@ -51,20 +48,21 @@ class CascadeWorlds:
     """R fixed live-edge worlds of one IC instance, explored together.
 
     Edge ``e`` is live in world ``w`` iff the 53-bit coin
-    ``splitmix64(key, w·E + e)`` falls below ``p_e``.  Every (world, edge)
-    pair owns exactly one independent coin that does not depend on the
-    order of traversal, so reachability in each world is distributed
-    exactly as an IC cascade, and every evaluation on one instance sees
-    the same worlds (common random numbers).
+    ``splitmix64(key, w·E + e) >> 11`` falls below the edge's threshold
+    ``⌈p_e·2⁵³⌉`` (:func:`~repro.propagation.native.live_coins`).  Every
+    (world, edge) pair owns exactly one independent coin that does not
+    depend on the order of traversal, so reachability in each world is
+    distributed exactly as an IC cascade, and every evaluation on one
+    instance sees the same worlds (common random numbers).
 
     Node ``v`` of world ``w`` is the pair ``w·n + v``.  The instance holds
-    one R×n byte of marks, each pair unmarked, *kept* or *tentative*.
-    :meth:`explore` marks what new sources reach in every world at once:
+    one R×n byte of marks, the *kept* pairs.  :meth:`reach` returns what
+    new sources reach in every world at once, on top of the kept pairs:
     each step is one gather → coin → dedup pass over at most
     ``_STEP_PAIRS`` queued (world, node) pairs and ``_STEP_EDGES`` of
     their out-edges, so temporaries stay small whatever the cascade.  A
     reach set is closed under live edges, so exploring new sources on top
-    of marked pairs yields exactly their marginal reach.
+    of kept pairs yields exactly their marginal reach.
     """
 
     def __init__(
@@ -77,47 +75,52 @@ class CascadeWorlds:
         self.graph = graph
         self.num_worlds = num_worlds
         self.key = int(key)
-        self._probabilities = edge_probabilities
+        self._thresholds = coin_thresholds(edge_probabilities)
         self._marks = np.zeros(num_worlds * graph.num_nodes, dtype=np.uint8)
 
-    def explore(self, sources: Sequence[int], *, keep: bool = False) -> int:
-        """Mark the pairs newly reached from the nodes *sources* in every
-        world and return how many there are.
+    def reach(self, sources: Sequence[int]) -> np.ndarray:
+        """The unkept pairs reached from the nodes *sources* in every world,
+        in no particular order; the marks stay as they were."""
+        pairs = self._walk(sources)
+        self._marks[pairs] = 0
+        return pairs
 
-        Marked pairs are neither counted nor crossed.  With *keep* the new
-        marks are kept; otherwise they stay tentative until :meth:`commit`
-        or :meth:`drop`.
-        """
-        mark = _KEPT if keep else _TENTATIVE
-        marks = self._marks
-        bases = np.arange(self.num_worlds, dtype=np.int64) * self.graph.num_nodes
-        queue = (bases[:, None] + np.asarray(sources, dtype=np.int64)).ravel()
-        queue = queue[marks[queue] == 0]
-        marks[queue] = mark
-        count = queue.size
-        while queue.size:
-            fresh, queue = self._step(queue)
-            marks[fresh] = mark
-            count += fresh.size
-            queue = np.concatenate((queue, fresh))
-        return count
+    def explore(self, sources: Sequence[int]) -> int:
+        """Keep the unkept pairs the nodes *sources* reach in every world
+        and return how many there are."""
+        return self._walk(sources).size
 
-    def commit(self) -> None:
-        """Keep every tentative mark."""
-        # Both marks become 1 (= _KEPT), in place.
-        np.not_equal(self._marks, 0, out=self._marks.view(np.bool_))
+    def keep(self, pairs: np.ndarray) -> None:
+        """Keep the pairs *pairs*."""
+        self._marks[pairs] = 1
 
-    def drop(self) -> None:
-        """Unmark every tentative pair."""
-        np.bitwise_and(self._marks, _KEPT, out=self._marks)
+    def unkept(self, pairs: np.ndarray) -> np.ndarray:
+        """The pairs of *pairs* that are not kept, in their order."""
+        return pairs[self._marks[pairs] == 0]
 
     def clear(self) -> None:
         """Unmark every pair."""
         self._marks.fill(0)
 
     def marked_pairs(self) -> np.ndarray:
-        """Every marked pair, ascending."""
+        """Every kept pair, ascending."""
         return np.flatnonzero(self._marks)
+
+    def _walk(self, sources: Sequence[int]) -> np.ndarray:
+        """Mark and return every unmarked pair reachable from *sources*
+        through unmarked pairs."""
+        marks = self._marks
+        bases = np.arange(self.num_worlds, dtype=np.int64) * self.graph.num_nodes
+        queue = (bases[:, None] + np.asarray(sources, dtype=np.int64)).ravel()
+        queue = queue[marks[queue] == 0]
+        marks[queue] = 1
+        reached = [queue]
+        while queue.size:
+            fresh, queue = self._step(queue)
+            marks[fresh] = 1
+            reached.append(fresh)
+            queue = np.concatenate((queue, fresh))
+        return np.concatenate(reached) if len(reached) > 1 else reached[0]
 
     def _step(self, queue: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Expand a bounded head of *queue*: the unmarked pairs one live
@@ -136,15 +139,9 @@ class CascadeWorlds:
         # recovered below for the few live ones.
         edges = np.arange(ends[-1], dtype=np.int64)
         edges += np.repeat(starts - (ends - degrees), degrees)
-        coins = np.repeat(worlds * graph.num_edges, degrees)
-        coins += edges
-        coins = splitmix64(self.key, coins.view(np.uint64))
-        coins >>= np.uint64(11)
-        # The coin u·2⁻⁵³ < p  ⟺  u < p·2⁵³, both exact in float64.
-        limits = self._probabilities[edges]
-        limits *= 2.0**53
-        live = np.flatnonzero(coins < limits)
-        del coins, limits
+        counters = np.repeat(worlds * graph.num_edges, degrees)
+        counters += edges
+        live = live_coins(self.key, counters.view(np.uint64), self._thresholds[edges])
         sources = np.searchsorted(ends, live, side="right")
         pairs = worlds[sources] * num_nodes + graph.out_targets[edges[live]]
         fresh = np.unique(pairs[self._marks[pairs] == 0])
@@ -186,7 +183,7 @@ class IndependentCascade:
     ) -> np.ndarray:
         """The pairs ``w·n + v`` *seeds* reach in :meth:`worlds`."""
         worlds = self.worlds(num_samples, seed)
-        worlds.explore(_check_seeds(self.graph, seeds), keep=True)
+        worlds.explore(_check_seeds(self.graph, seeds))
         return worlds.marked_pairs()
 
     def estimate_spread(

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from repro.propagation import native
-from repro.propagation.native import splitmix64
+from repro.propagation.native import coin_thresholds, live_coins
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.graph.digraph import SocialGraph
@@ -89,8 +89,9 @@ def sample_packed_rr_sets(
         return native.sample_chunk(graph, probabilities, key, first, roots)
     if roots.size == 0:
         return _EMPTY, np.zeros(1, dtype=np.int64)
+    thresholds = coin_thresholds(probabilities)
     chunks = [
-        _sample_pass(graph, probabilities, key, first + start,
+        _sample_pass(graph, thresholds, key, first + start,
                      roots[start:start + _PASS_SETS])
         for start in range(0, roots.size, _PASS_SETS)
     ]
@@ -103,7 +104,7 @@ def sample_packed_rr_sets(
 
 def _sample_pass(
     graph: "SocialGraph",
-    probabilities: np.ndarray,
+    thresholds: np.ndarray,
     key: int,
     first: int,
     roots: np.ndarray,
@@ -119,7 +120,7 @@ def _sample_pass(
     levels = [pairs]
     reached = pairs
     while True:
-        live = _live_sources(graph, probabilities, key, first, pairs)
+        live = _live_sources(graph, thresholds, key, first, pairs)
         if live.size == 0:
             break
         # Sort + adjacent-difference dedup (cheaper than np.unique here),
@@ -148,7 +149,7 @@ def _sample_pass(
 
 def _live_sources(
     graph: "SocialGraph",
-    probabilities: np.ndarray,
+    thresholds: np.ndarray,
     key: int,
     first: int,
     pairs: np.ndarray,
@@ -174,16 +175,10 @@ def _live_sources(
         slots += np.repeat(starts[low:high] - (ends[low:high] - counts), counts)
         owners = np.repeat(sets[low:high], counts)
         edges = graph.in_edge_ids[slots]
-        coins = owners + first
-        coins *= graph.num_edges
-        coins += edges
-        coins = splitmix64(key, coins.view(np.uint64))
-        coins >>= np.uint64(11)
-        # The coin u·2⁻⁵³ < p  ⟺  u < p·2⁵³, both exact in float64.
-        limits = probabilities[edges]
-        limits *= 2.0**53
-        live = np.flatnonzero(coins < limits)
-        del coins, limits
+        counters = owners + first
+        counters *= graph.num_edges
+        counters += edges
+        live = live_coins(key, counters.view(np.uint64), thresholds[edges])
         found.append(owners[live] * num_nodes + graph.in_sources[slots[live]])
         low = high
     return found[0] if len(found) == 1 else np.concatenate(found)

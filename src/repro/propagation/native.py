@@ -26,7 +26,9 @@ from repro.utils.env import env_switch
 
 __all__ = [
     "HAVE_COMPILED",
+    "coin_thresholds",
     "kernel_provenance",
+    "live_coins",
     "splitmix64",
     "use_compiled",
 ]
@@ -101,6 +103,30 @@ def splitmix64(key: int, counters: np.ndarray) -> np.ndarray:
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
+
+
+def coin_thresholds(probabilities: np.ndarray) -> np.ndarray:
+    """The uint64 threshold ``⌈p·2⁵³⌉`` of every probability ``p``.
+
+    A 53-bit coin ``u`` is live iff ``u < ⌈p·2⁵³⌉``, which is exactly the
+    float test ``u·2⁻⁵³ < p``: ``p·2⁵³`` is exact in float64 (a power-of-two
+    scale), and for an integer ``u``, ``u < x`` iff ``u < ⌈x⌉``.
+    """
+    scaled = np.asarray(probabilities, dtype=np.float64) * 2.0**53
+    return np.ceil(scaled, out=scaled).astype(np.uint64)
+
+
+def live_coins(key: int, counters: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Positions ``i`` whose coin ``splitmix64(key, counters[i]) >> 11``
+    falls below ``thresholds[i]`` (:func:`coin_thresholds`).
+
+    The NumPy coin of both the RR kernel and the forward worlds; the C core
+    makes the same comparison.  *counters* is consumed as by
+    :func:`splitmix64`.
+    """
+    coins = splitmix64(key, counters)
+    coins >>= np.uint64(11)
+    return np.flatnonzero(coins < thresholds)
 
 
 def sample_chunk(

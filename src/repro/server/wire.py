@@ -228,16 +228,25 @@ def metrics_exposition(
     must stay cheap and green under saturation.
     ``execution.rr_kernel_compiled`` is 1 when RR sets are sampled on the
     compiled core and 0 on the NumPy path (``execution.rr_kernel`` in
+    ``/stats``).  ``best_effort.oracle_*`` are this process's cumulative
+    best-effort oracle counters (a cluster's replicas report theirs in
     ``/stats``).
     """
     metrics = getattr(executor, "metrics", None)
+    extra = {
+        "uptime_seconds": round(time.monotonic() - started_at, 3),
+        "execution.rr_kernel_compiled": float(use_compiled()),
+    }
+    # A coordinator fronts the service whose backend is the facade.
+    service = getattr(executor, "service", executor)
+    best_effort = getattr(getattr(service, "backend", None), "best_effort", None)
+    if best_effort is not None:
+        for key, value in best_effort.oracle_counters().items():
+            extra[f"best_effort.{key}"] = value
     return render_exposition(
         service_state=metrics.export_state() if metrics is not None else None,
         http_state=counters.export_state(),
-        extra={
-            "uptime_seconds": round(time.monotonic() - started_at, 3),
-            "execution.rr_kernel_compiled": float(use_compiled()),
-        },
+        extra=extra,
     )
 
 

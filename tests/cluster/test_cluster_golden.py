@@ -214,6 +214,24 @@ class TestCoordinatorServingSemantics:
             assert deterministic_form(first) == deterministic_form(second)
             assert cluster.stats()["service.influencers.cache_hits"] == 1.0
 
+    def test_replica_oracle_counters_are_summed_in_stats(
+        self, make_service, running_cluster
+    ):
+        """A routed ``influencers`` query runs its oracle on a replica: the
+        coordinator's own counters stay put and the replicas' sum reports
+        the same work as the query served in-process."""
+        request = FindInfluencersRequest("data mining", k=3)
+        local = make_service("serial")
+        assert local.execute(request).ok
+        expected = local.stats()
+        assert expected["best_effort.oracle_explores"] > 0.0  # a real miss
+        with running_cluster(make_service("serial"), shards=2) as cluster:
+            assert cluster.execute(request).ok
+            stats = cluster.stats()
+        for key in ("best_effort.oracle_explores", "best_effort.oracle_memo_hits"):
+            assert stats[key] == 0.0
+            assert stats[f"cluster.shards.{key}"] == expected[key]
+
     def test_batch_duplicates_are_shared(self, make_service, running_cluster):
         request = CompleteRequest(prefix="da", limit=5)
         with running_cluster(make_service("serial"), shards=2) as cluster:

@@ -83,6 +83,8 @@ class TestMetricsEndpointThreaded:
         assert 'octopus_stat{key="uptime_seconds"}' in body
         compiled = "1" if use_compiled() else "0"
         assert f'octopus_stat{{key="execution.rr_kernel_compiled"}} {compiled}' in body
+        for key in ("best_effort.oracle_explores", "best_effort.oracle_memo_hits"):
+            assert f'octopus_stat{{key="{key}"}}' in body
 
     def test_fresh_server_scrapes_cleanly(self, backend, running_server):
         with running_server(OctopusService(backend)) as server:

@@ -109,6 +109,8 @@ class TestEndpoints:
         assert stats["http.requests"] == 1.0  # the stats GET itself excluded
         assert stats["http.path.query"] == 1.0
         assert stats["http.responses.2xx"] == 1.0
+        assert stats["best_effort.oracle_explores"] >= 0.0
+        assert stats["best_effort.oracle_memo_hits"] >= 0.0
 
 
 class TestErrorMapping:

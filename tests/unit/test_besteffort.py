@@ -1,5 +1,8 @@
 """Unit tests for repro.core.besteffort."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -88,3 +91,53 @@ class TestQuery:
         engine = BestEffortKeywordIM(weights, BadBound(), seed=0)
         with pytest.raises(ValidationError, match="shape"):
             engine.query(GAMMA, 2)
+
+
+class TestOracleCounters:
+    def test_count_walks_and_memo_hits_outside_the_answer(self, setup):
+        _graph, weights, bound = setup
+        engine = BestEffortKeywordIM(weights, bound, seed=0)
+        assert engine.oracle_counters() == {
+            "oracle_explores": 0.0,
+            "oracle_memo_hits": 0.0,
+        }
+        first = engine.query(GAMMA, 5)
+        once = engine.oracle_counters()
+        assert once["oracle_explores"] > 0 and once["oracle_memo_hits"] > 0
+        # A repeated query does the same oracle work and gives the same
+        # answer; the counters never reach the result's statistics.
+        second = engine.query(GAMMA, 5)
+        assert engine.oracle_counters() == {
+            key: 2 * value for key, value in once.items()
+        }
+        assert second == first
+        assert not any(key.startswith("oracle") for key in first.statistics)
+
+    def test_concurrent_queries_lose_no_count(self, setup):
+        """Queries on threads (more than cores, switching often) add up
+        to exactly the per-query counts."""
+        _graph, weights, bound = setup
+        engine = BestEffortKeywordIM(weights, bound, num_samples=20, seed=0)
+        engine.query(GAMMA, 3)
+        once = engine.oracle_counters()
+        threads_count, queries = 6, 4
+
+        def work():
+            for _ in range(queries):
+                engine.query(GAMMA, 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = 1 + threads_count * queries
+        assert engine.oracle_counters() == {
+            key: total * value for key, value in once.items()
+        }

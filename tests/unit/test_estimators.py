@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from reference.estimators import RRSetSpreadEstimator
 from reference.greedy import greedy_im
 from repro.graph.digraph import SocialGraph
 from repro.graph.generators import preferential_attachment_digraph
+from repro.propagation import estimators, ic
 from repro.propagation.estimators import MonteCarloSpreadEstimator
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.native import splitmix64
@@ -78,7 +80,9 @@ SEQUENCE_PROBABILITIES = np.random.default_rng(6).uniform(
 )
 SEQUENCE_WORLDS = 16
 
-_node = st.integers(0, SEQUENCE_GRAPH.num_nodes - 1)
+# Half the draws come from four nodes, so sequences often return to a
+# candidate after the prefix has grown (what the memo must get right).
+_node = st.one_of(st.integers(0, 3), st.integers(0, SEQUENCE_GRAPH.num_nodes - 1))
 _call_sequences = st.lists(
     st.one_of(
         st.tuples(st.just("extend"), _node),
@@ -172,6 +176,54 @@ class TestMonteCarloEstimator:
             )
             assert value == fresh == reference
 
+    @pytest.mark.parametrize("capacity", [None, 40, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(operations=_call_sequences)
+    def test_memo_never_changes_a_value(self, capacity, operations):
+        """Every value of one memoised estimator equals a fresh
+        estimator's, at the default memo pool, at a pool of two or three
+        reaches, and at a pool of a handful of pairs that holds none."""
+        share = (
+            estimators._POOL_SHARE
+            if capacity is None
+            else SEQUENCE_WORLDS * SEQUENCE_GRAPH.num_nodes // capacity
+        )
+
+        def estimator():
+            return MonteCarloSpreadEstimator(
+                SEQUENCE_GRAPH,
+                SEQUENCE_PROBABILITIES,
+                num_samples=SEQUENCE_WORLDS,
+                seed=3,
+            )
+
+        with mock.patch.object(estimators, "_POOL_SHARE", share):
+            memoised = estimator()
+            for seeds in _seed_sets(operations):
+                assert memoised.spread(seeds) == estimator().spread(seeds)
+
+    def test_celf_reevaluations_are_answered_from_the_memo(self):
+        """Lazy greedy re-evaluates candidates on a growing prefix: with a
+        pool those calls walk no cascade, without one every call does, and
+        the selection is the same."""
+
+        def run(share):
+            with mock.patch.object(estimators, "_POOL_SHARE", share):
+                estimator = MonteCarloSpreadEstimator(
+                    SEQUENCE_GRAPH, SEQUENCE_PROBABILITIES, num_samples=64, seed=4
+                )
+                result = greedy_im(
+                    SEQUENCE_GRAPH, SEQUENCE_PROBABILITIES, 5, estimator=estimator
+                )
+                final = estimator.spread(result.seeds)
+            return result.seeds, result.marginal_gains, final, estimator
+
+        seeds, gains, final, memoised = run(1)  # a pool of R·n pairs
+        bare = run(64 * SEQUENCE_GRAPH.num_nodes * 2)  # a pool of no pairs
+        assert (seeds, gains, final) == bare[:3]
+        assert memoised.memo_hits > 0 and bare[3].memo_hits == 0
+        assert memoised.explores < bare[3].explores
+
     def test_monotone_and_submodular_exactly(self, medium_graph, medium_probabilities):
         """On fixed worlds the estimate is a coverage function: no
         tolerance.  64 worlds keep count/64 and its differences exact."""
@@ -241,6 +293,46 @@ class TestMonteCarloEstimator:
         finally:
             tracemalloc.stop()
         assert held < 4096
+
+
+class TestCascadeWorlds:
+    def test_step_budget_never_changes_what_is_reached(
+        self, medium_graph, medium_probabilities
+    ):
+        """``reach``/``explore`` counts, the reached pairs and the kept
+        pairs are the same when every step takes one pair and one edge."""
+
+        def walk():
+            worlds = ic.CascadeWorlds(medium_graph, medium_probabilities, 24, 77)
+            record = [worlds.explore([0, 5])]
+            for sources in ([3], [7, 11], [0], [2]):
+                record.append(np.sort(worlds.reach(sources)).tolist())
+            worlds.keep(worlds.reach([9]))
+            record.append(worlds.marked_pairs().tolist())
+            record.append(worlds.explore([4, 6]))
+            record.append(worlds.marked_pairs().tolist())
+            return record
+
+        default = walk()
+        with mock.patch.object(ic, "_STEP_PAIRS", 1), mock.patch.object(
+            ic, "_STEP_EDGES", 1
+        ):
+            tiny = walk()
+        assert tiny == default
+        assert default[0] > 48  # the cascades are not trivial
+
+    def test_reach_leaves_the_marks_as_they_were(
+        self, medium_graph, medium_probabilities
+    ):
+        worlds = ic.CascadeWorlds(medium_graph, medium_probabilities, 8, 5)
+        worlds.explore([1])
+        kept = worlds.marked_pairs()
+        reached = worlds.reach([2, 3])
+        assert np.array_equal(worlds.marked_pairs(), kept)
+        assert np.intersect1d(reached, kept).size == 0
+        assert worlds.unkept(np.concatenate((kept, reached))).tolist() == (
+            reached.tolist()
+        )
 
 
 class TestRRSetEstimator:

@@ -169,6 +169,35 @@ class TestCounterKeyedCoin:
     def small_probabilities(self, small_graph):
         return np.random.default_rng(6).uniform(0.0, 0.8, small_graph.num_edges)
 
+    @pytest.mark.parametrize(
+        "probability",
+        [0.0, 2.0**-53, 0.5, np.nextafter(0.5, 0.0), 1.0 - 2.0**-53, 1.0],
+    )
+    def test_integer_threshold_is_the_float_test(self, probability):
+        """``u < ⌈p·2⁵³⌉`` is ``u < p·2⁵³`` on both sides of the boundary."""
+        threshold = native.coin_thresholds(np.array([probability]))[0]
+        boundary = probability * 2.0**53
+        near = {int(np.floor(boundary)) + step for step in (-2, -1, 0, 1, 2)}
+        for u in sorted(u for u in near if 0 <= u < 2**53):
+            assert (np.uint64(u) < threshold) == (u < boundary), (probability, u)
+
+    def test_live_coins_are_the_float_coins(self, small_probabilities):
+        key = 0xDEADBEEF12345
+        edges = np.arange(small_probabilities.size)
+        counters = np.arange(40 * edges.size, dtype=np.uint64)
+        live = native.live_coins(
+            key,
+            counters.copy(),
+            np.tile(native.coin_thresholds(small_probabilities), 40),
+        )
+        expected = [
+            int(counter)
+            for counter in counters
+            if _coin(key, int(counter)) * 2.0**-53
+            < small_probabilities[int(counter) % edges.size]
+        ]
+        assert live.tolist() == expected
+
     @pytest.mark.parametrize("first", [0, 13])
     def test_matches_the_scalar_reference_walk(
         self, small_graph, small_probabilities, path, first
@@ -206,7 +235,7 @@ class TestCounterKeyedCoin:
         reaches = np.zeros((count, num_nodes), dtype=bool)
         for node in range(num_nodes):
             worlds.clear()
-            worlds.explore([node], keep=True)
+            worlds.explore([node])
             marked = np.zeros((first + count) * num_nodes, dtype=bool)
             marked[worlds.marked_pairs()] = True
             targets = (first + np.arange(count)) * num_nodes + roots
