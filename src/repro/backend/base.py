@@ -171,14 +171,6 @@ class ExecutionBackend(abc.ABC):
     #: Short identifier (``serial`` / ``threads`` / ``processes``).
     name: str = "abstract"
 
-    #: How chunk payloads travel back from workers: ``"inline"`` when no
-    #: process boundary exists (serial / threads — results are passed by
-    #: reference), ``"shm"`` / ``"pickle"`` for process-crossing backends
-    #: (see :mod:`repro.backend.shm`).  Pure observability — surfaced as
-    #: ``execution.payload_transport`` in stats snapshots, never an
-    #: answer change.
-    payload_transport: str = "inline"
-
     @property
     @abc.abstractmethod
     def workers(self) -> int:
@@ -261,20 +253,5 @@ class ExecutionBackend(abc.ABC):
             (payload, key, start, root_array[start:stop])
             for start, stop in rr_chunk_plan(num_sets, chunk_size)
         ]
-        return self._collect_packed(graph.num_nodes, tasks)
-
-    def _collect_packed(
-        self, num_nodes: int, tasks: Sequence[Tuple]
-    ) -> PackedRRSets:
-        """Run the chunk tasks and assemble the packed batch.
-
-        The transport seam: in-memory backends map the plain chunk
-        function and concatenate the returned arrays;
-        :class:`~repro.backend.pools.ProcessPoolBackend` overrides this to
-        route chunk payloads through the shared-memory arena
-        (:mod:`repro.backend.shm`) so only descriptors cross the pipe.
-        Either way the assembled batch is identical byte for byte —
-        transport is never allowed to change results.
-        """
         chunks = self.map_chunks(_sample_rr_chunk, tasks)
-        return PackedRRSets.from_chunks(num_nodes, chunks)
+        return PackedRRSets.from_chunks(graph.num_nodes, chunks)

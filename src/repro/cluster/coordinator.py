@@ -39,9 +39,9 @@ and is a whole-query replica.  Requests then take one of two paths:
   index — never by shard — the sampled batch, the greedy selections and
   every float in the response are **byte-identical** for 1, 2 or 4
   shards and to the single-process service: shard count is a pure
-  execution detail.  With
-  ``fan_out=False`` every request, ``targeted`` included, is routed, so
-  no shared-memory session or arena is created.
+  execution detail.  Each shard's packed batch comes back pickled in its
+  reply frame.  With ``fan_out=False`` every request, ``targeted``
+  included, is routed.
 
 Failure model
 -------------
@@ -58,10 +58,8 @@ arrive, so the survivors stay in step.
 
 from __future__ import annotations
 
-import glob
 import itertools
 import multiprocessing
-import os
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -69,7 +67,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.backend.base import DEFAULT_RR_CHUNK_SIZE, draw_batch_key, rr_chunk_plan
-from repro.backend.shm import ShmArena, ShmSession, ShmSlice, shm_enabled
 from repro.cluster.protocol import (
     ExecuteRequest,
     Ping,
@@ -155,29 +152,15 @@ class _ShardHandle:
         shard_id: int,
         process: multiprocessing.Process,
         connection,
-        arena: Optional[ShmArena] = None,
     ) -> None:
         self.shard_id = shard_id
         self.process = process
         self.connection = connection
-        self.arena = arena
         self.lock = threading.Lock()
         self.dead_reason = ""
         self._alive = True
         self._sequence = 0
         self._abandoned: set = set()
-
-    def resolve(self, value: Any) -> Any:
-        """Materialise a :class:`ShmSlice` reply into its arrays.
-
-        The resolved arrays are zero-copy read-only views into the shard's
-        arena; they stay valid exactly until the next command is sent to
-        this shard (the worker rewinds its arena at the start of every
-        ``SampleShard``), so the caller copies them out first.
-        """
-        if self.arena is not None and isinstance(value, ShmSlice):
-            return self.arena.read(value)
-        return value
 
     def abandon(self, sequence: int) -> None:
         """Discard the reply to *sequence* whenever it arrives."""
@@ -241,7 +224,7 @@ class _ShardHandle:
             if frame_sequence == sequence:
                 if not reply.ok:
                     raise ShardCommandError(reply.error)
-                return self.resolve(reply.value)
+                return reply.value
             if frame_sequence in self._abandoned:
                 self._abandoned.discard(frame_sequence)
                 continue  # late answer to a timed-out exchange
@@ -347,41 +330,18 @@ class ClusterCoordinator:
         self._respawn_lock = threading.Lock()
         context = multiprocessing.get_context("fork")
         self._context = context
-        # The shared-memory data plane: one coordinator-owned session
-        # directory holding one arena per shard, created *before* the
-        # forks so each shard inherits its base mapping.  Ownership stays
-        # here — a killed shard cannot leak a segment, and close()
-        # reclaims the whole session directory in one sweep.  A sampled
-        # batch larger than the default capacity grows on demand.  Only
-        # fan-out replies travel through it, so whole-query replicas skip it.
-        self._shm_session: Optional[ShmSession] = None
-        arenas: List[Optional[ShmArena]] = [None] * self.shards
-        if self.fan_out and shm_enabled():
-            self._shm_session = ShmSession()
-            arenas = [
-                ShmArena(self._shm_session, f"shard{shard_id}")
-                for shard_id in range(self.shards)
-            ]
         self._handles: List[_ShardHandle] = []
         for shard_id in range(self.shards):
             parent_end, child_end = context.Pipe(duplex=True)
             process = context.Process(
                 target=shard_main,
-                args=(
-                    child_end,
-                    self.service,
-                    shard_id,
-                    self.shards,
-                    arenas[shard_id],
-                ),
+                args=(child_end, self.service, shard_id, self.shards),
                 name=f"octopus-shard-{shard_id}",
                 daemon=True,
             )
             process.start()
             child_end.close()  # the parent keeps only its end
-            self._handles.append(
-                _ShardHandle(shard_id, process, parent_end, arenas[shard_id])
-            )
+            self._handles.append(_ShardHandle(shard_id, process, parent_end))
         self._round_robin = itertools.count()
         self._front = self.service.over(self._compute)
 
@@ -425,9 +385,6 @@ class ClusterCoordinator:
         stats["executor.kind"] = self.kind
         stats["executor.workers"] = float(self.shards)
         stats["executor.shards"] = float(self.shards)
-        stats["executor.payload_transport"] = (
-            "shm" if self._shm_session is not None else "pickle"
-        )
         alive = 0
         shard_snapshots: List[Dict[str, float]] = []
         for handle in self._handles:
@@ -486,13 +443,11 @@ class ClusterCoordinator:
         """Respawn every dead shard from the snapshot; returns their ids.
 
         Requires ``snapshot_path`` at construction.  Each respawned child
-        forks from the coordinator — inheriting the dead shard's arena
-        base mapping exactly as at first construction — restores its
-        replica from the snapshot (:func:`repro.snapshot.load_snapshot`,
-        byte-identical to the replica it replaces), and takes over the
-        dead shard's place in the handle list; distributed chunk ranges
-        are assigned positionally over that list, so chunk-range ownership
-        restores automatically.  Boot is confirmed with a bounded ping
+        forks from the coordinator, restores its replica from the snapshot
+        (:func:`repro.snapshot.load_snapshot`, byte-identical to the
+        replica it replaces), and takes over the dead shard's place in the
+        handle list; distributed chunk ranges are assigned positionally
+        over that list, so chunk-range ownership restores automatically.  Boot is confirmed with a bounded ping
         before the new handle enters rotation, so a snapshot that fails
         to restore surfaces as a :class:`ShardError` (and the shard stays
         dead) rather than a half-live shard.  Once every shard is alive
@@ -517,7 +472,6 @@ class ClusterCoordinator:
                 except OSError:
                     pass
                 handle.process.join(timeout=2.0)
-                self._reclaim_arena(handle.arena)
                 parent_end, child_end = self._context.Pipe(duplex=True)
                 # Unlike the first fork, the respawned shard must *build*
                 # its replica (snapshot restore re-runs the index build),
@@ -532,16 +486,13 @@ class ClusterCoordinator:
                         self.snapshot_path,
                         handle.shard_id,
                         self.shards,
-                        handle.arena,
                     ),
                     name=f"octopus-shard-{handle.shard_id}",
                     daemon=False,
                 )
                 process.start()
                 child_end.close()
-                fresh = _ShardHandle(
-                    handle.shard_id, process, parent_end, handle.arena
-                )
+                fresh = _ShardHandle(handle.shard_id, process, parent_end)
                 try:
                     fresh.call(Ping(), timeout=self.shard_timeout)
                 except ShardError:
@@ -551,26 +502,6 @@ class ClusterCoordinator:
                 respawned.append(handle.shard_id)
         return respawned
 
-    @staticmethod
-    def _reclaim_arena(arena: Optional[ShmArena]) -> None:
-        """Clear a dead shard's leftover grow-files before its successor
-        inherits the arena: segment creation is ``O_EXCL``, so a stale
-        ``.g<n>`` file would push the respawned writer onto the inline
-        pickle fallback.  The session directory is coordinator-owned, so
-        unlinking here is safe — the shard is dead and its replies are
-        out of rotation."""
-        if arena is None:
-            return
-        arena.reset()
-        pattern = os.path.join(
-            arena.session_path, arena.base_segment + ".g*"
-        )
-        for path in glob.glob(pattern):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover — cleanup is best-effort
-                pass
-
     def close(self) -> None:
         """Drain and stop every shard process; idempotent."""
         if self.closed:
@@ -578,12 +509,6 @@ class ClusterCoordinator:
         self.closed = True
         for handle in self._handles:
             handle.shutdown(timeout=min(self.shard_timeout, 10.0))
-        # Shards are down (or terminated): reclaim the data plane.
-        for handle in self._handles:
-            if handle.arena is not None:
-                handle.arena.close()
-        if self._shm_session is not None:
-            self._shm_session.close()
 
     def __enter__(self) -> "ClusterCoordinator":
         return self
@@ -742,14 +667,11 @@ class ClusterCoordinator:
                         f"within {self.shard_timeout:.1f}s)"
                     )
                 acquired.append(handle)
-            # from_chunks copies the batches out of the arenas while the
-            # locks still keep every other command off those shards.
-            packed = PackedRRSets.from_chunks(
-                engine.graph.num_nodes, self._exchange_all(handles, commands)
-            )
+            chunks = self._exchange_all(handles, commands)
         finally:
             for handle in acquired:
                 handle.lock.release()
+        packed = PackedRRSets.from_chunks(engine.graph.num_nodes, chunks)
         return RRSetCollection(engine.graph, packed).greedy_max_cover(k)
 
     def _exchange_all(

@@ -24,15 +24,9 @@ command            shard action
 ``Shutdown``       reply, close the pipe, exit the process
 =================  ====================================================
 
-The ``SampleShard`` reply arrays may travel as one
-:class:`~repro.backend.shm.ShmSlice` descriptor instead of pickled
-ndarrays when the shared-memory data plane is on: the shard writes the
-pair into its coordinator-owned arena and the frame carries only the
-(segment, offset, lengths) triple; the coordinator reconstructs zero-copy
-views and copies them out before its next command to that shard.  Frames
-are shape-agnostic — the reply is "array pair or descriptor" and the
-coordinator's resolver normalises it — so the pickle twin
-(``REPRO_SHM=0``) speaks the identical protocol with inline arrays.
+The ``SampleShard`` reply carries the ``(nodes, offsets)`` arrays inline:
+the pipe pickles them with the rest of the frame, so every command and
+every reply crosses the same pipe the same way.
 """
 
 from __future__ import annotations
@@ -40,11 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.backend.shm import ShmSlice
 from repro.service.requests import ServiceRequest
 
 __all__ = [
-    "ShmSlice",
     "ExecuteRequest",
     "Ping",
     "SampleShard",

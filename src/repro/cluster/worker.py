@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import os
 import signal
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
-from repro.backend.shm import ShmArena
 from repro.cluster.protocol import (
     ExecuteRequest,
     Ping,
@@ -62,11 +61,6 @@ def _fork_hygiene(service: OctopusService) -> None:
     execution = service.backend.execution
     if hasattr(execution, "_executor"):
         execution._executor = None
-    if hasattr(execution, "_reset_shm_after_fork"):
-        # The parent's shared-memory arenas belong to the parent's pool;
-        # this replica must build its own (inside the inherited session
-        # directory, which keeps crash cleanup with the original owner).
-        execution._reset_shm_after_fork()
 
 
 class ShardWorker:
@@ -77,12 +71,10 @@ class ShardWorker:
         service: OctopusService,
         shard_id: int,
         num_shards: int,
-        arena: Optional[ShmArena] = None,
     ) -> None:
         self.service = service
         self.shard_id = int(shard_id)
         self.num_shards = int(num_shards)
-        self.arena = arena
         # Routed requests are timed and folded into the replica's own
         # ServiceMetrics (the coordinator merges them fleet-wide).
         self._measured = MetricsMiddleware(service.metrics)
@@ -157,11 +149,7 @@ class ShardWorker:
         The sets are keyed by the batch key and their global index,
         exactly as a pooled backend's chunk worker samples them — the
         shard boundary adds scheduling, never different randomness.  The
-        ``(nodes, offsets)`` pair travels as one
-        :class:`~repro.backend.shm.ShmSlice` in the shard's arena, rewound
-        first: the coordinator copies the previous reply out before it
-        sends another command.  Without an arena, or when the filesystem
-        refuses the write, the arrays travel inline.
+        ``(nodes, offsets)`` pair travels pickled in the reply frame.
         """
         backend = self.service.backend
         graph = backend.graph
@@ -170,12 +158,6 @@ class ShardWorker:
         payload = sample_packed_rr_sets(
             graph, probabilities, command.key, command.first, command.roots
         )
-        if self.arena is not None:
-            self.arena.reset()
-            try:
-                return ShardReply(ok=True, value=self.arena.write_arrays(payload))
-            except OSError:  # pragma: no cover — filesystem refusal
-                pass
         return ShardReply(ok=True, value=payload)
 
     def _handle_stats(self) -> ShardReply:
@@ -192,18 +174,11 @@ def shard_main(
     service: OctopusService,
     shard_id: int,
     num_shards: int,
-    arena: Optional[ShmArena] = None,
 ) -> None:
     """Entry point of a forked shard process.
 
     Applies fork hygiene (drop the inherited pool), then serves
     ``(sequence, command)`` frames until ``Shutdown`` or a closed pipe.
-
-    *arena* — when the shared-memory data plane is on — is this shard's
-    slice of the coordinator-owned session: created before the fork (the
-    base mapping is inherited), written here, read (and on close,
-    reclaimed) by the coordinator.  The shard never owns a segment, so a
-    crashed shard cannot leak one.
 
     The shard ignores ``SIGINT``: a terminal Ctrl-C hits the whole
     foreground process group, and shards must survive it so the
@@ -212,7 +187,7 @@ def shard_main(
     the coordinator escalates to ``terminate()`` after its bounded join).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _serve_shard(connection, service, shard_id, num_shards, arena)
+    _serve_shard(connection, service, shard_id, num_shards)
 
 
 def shard_respawn_main(
@@ -220,7 +195,6 @@ def shard_respawn_main(
     snapshot_path: str,
     shard_id: int,
     num_shards: int,
-    arena: Optional[ShmArena] = None,
 ) -> None:
     """Entry point of a shard respawned from a snapshot.
 
@@ -229,10 +203,7 @@ def shard_respawn_main(
     (:func:`repro.snapshot.load_snapshot`), which reconstructs the exact
     constructor inputs and re-runs the seed-keyed index build — so the
     respawned replica answers with the same bytes as the shard it
-    replaces.  The arena is the dead shard's own (its base mapping is
-    inherited across the fork exactly as at first construction, since the
-    coordinator owns the session), so chunk-range ownership resumes
-    unchanged.
+    replaces.
 
     A snapshot that fails to load is reported over the pipe as an error
     reply to the coordinator's boot-confirmation ping rather than a silent
@@ -243,10 +214,10 @@ def shard_respawn_main(
         from repro.snapshot import load_snapshot
 
         octopus = load_snapshot(snapshot_path)
-        # A pooled execution backend forked workers (and possibly a shm
-        # session) for the index build; release them cleanly now — the
-        # serve loop's fork hygiene would only drop the reference, and a
-        # pool re-creates lazily if a routed request ever needs one.
+        # A pooled execution backend forked workers for the index build;
+        # release them cleanly now — the serve loop's fork hygiene would
+        # only drop the reference, and a pool re-creates lazily if a
+        # routed request ever needs one.
         octopus.execution.close()
         service = OctopusService(octopus)
     except BaseException as error:  # noqa: BLE001 — reported, then exit
@@ -270,7 +241,7 @@ def shard_respawn_main(
             except OSError:
                 pass
         return
-    _serve_shard(connection, service, shard_id, num_shards, arena)
+    _serve_shard(connection, service, shard_id, num_shards)
 
 
 def _serve_shard(
@@ -278,7 +249,6 @@ def _serve_shard(
     service: OctopusService,
     shard_id: int,
     num_shards: int,
-    arena: Optional[ShmArena],
 ) -> None:
     """The shared shard body: fork hygiene, then the command loop.
 
@@ -286,7 +256,7 @@ def _serve_shard(
     pipe.
     """
     _fork_hygiene(service)
-    worker = ShardWorker(service, shard_id, num_shards, arena)
+    worker = ShardWorker(service, shard_id, num_shards)
     try:
         while True:
             try:

@@ -483,10 +483,6 @@ class Octopus:
         # "compiled" or "numpy".  Pure observability — never an answer
         # change — but essential for reading benchmark numbers.
         stats["execution.rr_kernel"] = kernel_provenance()
-        # How chunk payloads reach the parent: "inline" (same address
-        # space — serial/threads), "shm" (zero-copy arena descriptors) or
-        # "pickle" (the REPRO_SHM=0 twin / non-fork fallback).
-        stats["execution.payload_transport"] = self.execution.payload_transport
         stats["graph.num_nodes"] = float(self.graph.num_nodes)
         stats["graph.num_edges"] = float(self.graph.num_edges)
         return stats

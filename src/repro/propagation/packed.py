@@ -98,11 +98,10 @@ class PackedRRSets:
     ) -> "PackedRRSets":
         """Concatenate ``(nodes, offsets)`` chunk payloads, in order.
 
-        This is how backend chunk results merge: pure array concatenation,
-        never touching individual members.  Chunk arrays may be zero-copy
-        views into shared memory (:mod:`repro.backend.shm`): the
+        This is how backend chunk results and shard replies merge: pure
+        array concatenation, never touching individual members.  The
         concatenation writes the batch into fresh arrays, so the result
-        never aliases a transport buffer the producer may later reuse.
+        never aliases a chunk.
         """
         if not chunks:
             return cls(num_nodes, _EMPTY, np.zeros(1, dtype=np.int64))

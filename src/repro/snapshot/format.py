@@ -68,7 +68,7 @@ __all__ = [
 MAGIC = b"OCTOSNAP"
 FORMAT_VERSION = 1
 
-#: Array payloads start on this alignment (matches the shm arena).
+#: Array payloads start on this alignment (a cache line).
 _ALIGN = 64
 
 _HEADER_DIGEST_BYTES = 32

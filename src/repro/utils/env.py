@@ -1,15 +1,13 @@
-"""Validated parsing of the ``REPRO_*`` environment knobs.
+"""Validated parsing of on/off ``REPRO_*`` environment switches.
 
-The runtime knobs (``REPRO_SHM``, ``REPRO_SHM_ARENA_BYTES``,
-``REPRO_NATIVE``) historically parsed their values ad hoc: an unrecognized
-switch value silently meant "on" and a malformed size silently fell back to
-the default, so a typo like ``REPRO_SHM=ture`` or ``REPRO_NATIVE=2``
-changed behaviour without any signal.  These helpers centralise the
-parsing with one contract: recognized values parse, everything else raises
+``REPRO_NATIVE`` (compiled kernel or NumPy fallback) once parsed its value
+ad hoc: an unrecognized value silently meant "on", so a typo like
+``REPRO_NATIVE=2`` changed behaviour without any signal.  :func:`env_switch`
+parses with one contract: recognized values parse, everything else raises
 a single clear :class:`~repro.utils.validation.ValidationError` naming the
-knob, the offending value and the accepted spellings — at the first use of
-the knob (process startup for the data plane and kernel dispatch), never a
-raw ``ValueError`` traceback from deep inside worker bootstrap.
+switch, the offending value and the accepted spellings — at the first use
+of the switch (the first kernel dispatch), never a raw ``ValueError``
+traceback from deep inside worker bootstrap.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Sequence
 
 from repro.utils.validation import ValidationError
 
-__all__ = ["env_positive_int", "env_switch"]
+__all__ = ["env_switch"]
 
 
 def env_switch(name: str, *, on: Sequence[str], off: Sequence[str]) -> bool:
@@ -42,25 +40,3 @@ def env_switch(name: str, *, on: Sequence[str], off: Sequence[str]) -> bool:
         f"{name} must be unset or one of {accepted}, got {raw!r}"
     )
 
-
-def env_positive_int(name: str, default: int) -> int:
-    """Parse the positive-integer environment knob *name*.
-
-    Unset (or empty) means *default*; anything that is not a positive
-    integer raises a :class:`ValidationError` naming the knob and the
-    offending value.
-    """
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return int(default)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{name} must be a positive integer (bytes), got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValidationError(
-            f"{name} must be a positive integer (bytes), got {raw!r}"
-        )
-    return value

@@ -9,13 +9,10 @@ fails a test in seconds, it never hangs the suite.
 from __future__ import annotations
 
 import contextlib
-import glob
-import os
 import time
 
 import pytest
 
-from repro.backend.shm import SESSION_PREFIX, shm_root
 from repro.cluster import ClusterCoordinator, worker
 from repro.core.octopus import Octopus, OctopusConfig
 from repro.service import OctopusService
@@ -36,25 +33,6 @@ def stalled_sampling(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(worker, "sample_packed_rr_sets", stalled)
-
-
-def shm_session_dirs() -> list:
-    """Live shared-memory session directories (the leak-accounting unit)."""
-    return sorted(glob.glob(os.path.join(shm_root(), SESSION_PREFIX + "*")))
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shm_segments():
-    """Every cluster test must reclaim its shm sessions, however it ends.
-
-    Sessions that predate the test (e.g. a module-scoped service whose
-    pool backend is still open) are tolerated; anything the test itself
-    created must be gone when it finishes — including after shard kills.
-    """
-    before = set(shm_session_dirs())
-    yield
-    leaked = [path for path in shm_session_dirs() if path not in before]
-    assert not leaked, f"leaked shm session directories: {leaked}"
 
 
 def small_config(

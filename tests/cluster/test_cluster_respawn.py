@@ -123,8 +123,8 @@ class TestRespawn:
     def test_respawn_twice_survives_repeated_kills(
         self, threads_service, snapshot_path, running_cluster
     ):
-        """The reclaim path must leave the arena reusable: kill the same
-        shard twice and both respawns must come back healthy."""
+        """Respawn is repeatable: kill the same shard twice and both
+        respawns must come back healthy."""
         with running_cluster(
             threads_service, shards=2, snapshot_path=snapshot_path
         ) as cluster:

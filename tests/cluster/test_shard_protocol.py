@@ -3,7 +3,7 @@
 :class:`~repro.cluster.worker.ShardWorker` is a plain object — the pipe
 loop is a thin shell around :meth:`~repro.cluster.worker.ShardWorker.handle`
 — so every command verb can be driven in-process: the sampling verb and
-its reply on both transports, the introspection verbs (ping / stats), and
+its reply, the introspection verbs (ping / stats), and
 the error replies that keep a worker alive through bad commands.
 """
 
@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from repro.backend import SerialBackend
 from repro.backend.base import draw_batch_key
-from repro.backend.shm import ShmArena, ShmSession, ShmSlice
-from repro.cluster.coordinator import _ShardHandle, partition_contiguous
+from repro.cluster.coordinator import partition_contiguous
 from repro.cluster.protocol import (
     ExecuteRequest,
     Ping,
@@ -36,50 +35,36 @@ def worker(make_service):
 
 
 class TestSampleShardReply:
-    @pytest.mark.parametrize("transport", ["shm", "inline"])
-    def test_reply_is_the_serial_batch_of_the_chunk_range(
-        self, worker, transport
-    ):
-        """A resolved reply equals the same set range of the batch
-        ``SerialBackend`` samples from the same key and roots — with the
-        shard writing into a real arena or not."""
+    def test_reply_is_the_serial_batch_of_the_chunk_range(self, worker):
+        """The reply equals the same set range of the batch
+        ``SerialBackend`` samples from the same key and roots."""
         backend = worker.service.backend
-        session = ShmSession() if transport == "shm" else None
-        arena = ShmArena(session, "shard0") if session is not None else None
-        worker.arena = arena
-        try:
-            gamma = backend.derive_gamma("data mining")
-            probabilities = backend.edge_weights.edge_probabilities(gamma)
-            num_sets = 1100
-            roots = np.resize([3, 1, 4, 1, 5, 9, 2, 6], num_sets)
-            start, stop = 300, 1000
-            reply = worker.handle(
-                SampleShard(
-                    gamma=gamma,
-                    key=draw_batch_key(np.random.default_rng(7)),
-                    first=start,
-                    roots=roots[start:stop],
-                )
+        gamma = backend.derive_gamma("data mining")
+        probabilities = backend.edge_weights.edge_probabilities(gamma)
+        num_sets = 1100
+        roots = np.resize([3, 1, 4, 1, 5, 9, 2, 6], num_sets)
+        start, stop = 300, 1000
+        reply = worker.handle(
+            SampleShard(
+                gamma=gamma,
+                key=draw_batch_key(np.random.default_rng(7)),
+                first=start,
+                roots=roots[start:stop],
             )
-            assert reply.ok
-            assert isinstance(reply.value, ShmSlice) == (transport == "shm")
-            handle = _ShardHandle(0, None, None, arena)
-            nodes, offsets = handle.resolve(reply.value)
-            # The reference: the whole batch, keyed by the same first draw.
-            batch = SerialBackend().sample_rr_sets_packed(
-                backend.graph,
-                probabilities,
-                num_sets,
-                np.random.default_rng(7),
-                roots=roots,
-            )
-            low, high = batch.offsets[start], batch.offsets[stop]
-            assert np.array_equal(nodes, batch.nodes[low:high])
-            assert np.array_equal(offsets, batch.offsets[start:stop + 1] - low)
-        finally:
-            if arena is not None:
-                arena.close()
-                session.close()
+        )
+        assert reply.ok
+        nodes, offsets = reply.value
+        # The reference: the whole batch, keyed by the same first draw.
+        batch = SerialBackend().sample_rr_sets_packed(
+            backend.graph,
+            probabilities,
+            num_sets,
+            np.random.default_rng(7),
+            roots=roots,
+        )
+        low, high = batch.offsets[start], batch.offsets[stop]
+        assert np.array_equal(nodes, batch.nodes[low:high])
+        assert np.array_equal(offsets, batch.offsets[start:stop + 1] - low)
 
 
 @given(total=st.integers(0, 60), parts=st.integers(1, 9))

@@ -3,13 +3,13 @@
 The contract under test: recognized spellings parse, unset means the
 documented default, and anything else raises one clear ValidationError
 naming the knob — never a raw ValueError traceback and never a silently
-wrong transport or kernel.
+wrong kernel.
 """
 
 import pytest
 
 from repro.propagation import native
-from repro.utils.env import env_positive_int, env_switch
+from repro.utils.env import env_switch
 from repro.utils.validation import ValidationError
 
 
@@ -36,24 +36,6 @@ class TestEnvSwitch:
         assert "REPRO_TEST_SWITCH" in message
         assert "'maybe'" in message
         assert "on" in message and "off" in message
-
-
-class TestEnvPositiveInt:
-    def test_unset_and_empty_mean_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_BYTES", raising=False)
-        assert env_positive_int("REPRO_TEST_BYTES", 77) == 77
-        monkeypatch.setenv("REPRO_TEST_BYTES", "  ")
-        assert env_positive_int("REPRO_TEST_BYTES", 77) == 77
-
-    def test_valid_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_BYTES", "4096")
-        assert env_positive_int("REPRO_TEST_BYTES", 77) == 4096
-
-    @pytest.mark.parametrize("bad", ["abc", "1.5", "-3", "0"])
-    def test_invalid_values_raise(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_TEST_BYTES", bad)
-        with pytest.raises(ValidationError, match="REPRO_TEST_BYTES"):
-            env_positive_int("REPRO_TEST_BYTES", 77)
 
 
 class TestNativeKnob:

@@ -205,7 +205,6 @@ class TestProcessMode:
             stats = executor.stats()
             assert stats["executor.kind"] == "processes"
             assert stats["executor.workers"] == 2.0
-            assert stats["executor.payload_transport"] == "pickle"
             for removed in (
                 "executor.inflight",
                 "executor.shared_inflight",
