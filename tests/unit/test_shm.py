@@ -1,171 +1,29 @@
-"""Unit tests for repro.backend.shm: the zero-copy data plane.
+"""The process pool's chunk transport: one pipe, identical bytes, no leaks.
 
-Three layers: the arena/session primitives (write, read, grow, reset,
-lifecycle), the pool-backend transport (byte identity shm vs the
-``REPRO_SHM=0`` pickle twin, plus provenance), and leak accounting (a
-closed backend leaves nothing under the shm root).
+A ``ProcessPoolBackend`` chunk returns its packed ``(nodes, offsets)``
+arrays pickled in the reply; there is no shared-memory data plane.  The
+retired ``REPRO_SHM`` switch may still be exported by old deployments:
+under either of its settings the pool must serve the serial bytes and
+leave nothing under ``/dev/shm``.
 """
 
-import glob
 import os
 
 import numpy as np
 import pytest
 
-from repro.backend import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
-from repro.backend.shm import (
-    DEFAULT_ARENA_BYTES,
-    SESSION_PREFIX,
-    ShmArena,
-    ShmSession,
-    ShmSlice,
-    _remove_session_dir,
-    default_arena_bytes,
-    payload_transport,
-    shm_enabled,
-    shm_root,
-)
-from repro.utils.validation import ValidationError
-
-pytestmark = pytest.mark.skipif(
-    not shm_enabled() and os.environ.get("REPRO_SHM", "") == "",
-    reason="platform has no fork start method",
-)
+from repro.backend import ProcessPoolBackend, SerialBackend
 
 
-def _session_dirs():
-    return glob.glob(os.path.join(shm_root(), SESSION_PREFIX + "*"))
-
-
-def _force_shm(monkeypatch):
-    """Pin the shm transport on for tests whose subject is the shm path
-    itself, so they keep testing it under a global ``REPRO_SHM=0`` run."""
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    if not shm_enabled():
-        pytest.skip("platform has no fork start method")
-
-
-@pytest.fixture
-def session():
-    shm_session = ShmSession()
-    yield shm_session
-    shm_session.close()
-
-
-class TestShmSlice:
-    def test_nbytes(self):
-        ref = ShmSlice(segment="a", offset=64, lengths=(3, 0, 5))
-        assert ref.nbytes == 8 * 8
-
-
-class TestShmSession:
-    def test_directory_created_under_root_with_prefix(self, session):
-        assert os.path.isdir(session.path)
-        assert os.path.dirname(session.path) == shm_root()
-        assert os.path.basename(session.path).startswith(SESSION_PREFIX)
-
-    def test_close_removes_and_is_idempotent(self):
-        shm_session = ShmSession()
-        path = shm_session.path
-        assert not shm_session.closed
-        shm_session.close()
-        assert shm_session.closed
-        assert not os.path.exists(path)
-        shm_session.close()  # idempotent
-
-    def test_finalizer_is_pid_guarded(self, session):
-        """A forked child inheriting the session must not reclaim it."""
-        _remove_session_dir(session.path, session.owner_pid + 1)
-        assert os.path.isdir(session.path)
-        _remove_session_dir(session.path, session.owner_pid)
-        assert not os.path.exists(session.path)
-
-
-class TestShmArena:
-    def test_write_read_roundtrip(self, session):
-        arena = ShmArena(session, "a")
-        nodes = np.arange(17, dtype=np.int64)
-        offsets = np.array([0, 5, 17], dtype=np.int64)
-        ref = arena.write_arrays((nodes, offsets))
-        got_nodes, got_offsets = arena.read(ref)
-        np.testing.assert_array_equal(got_nodes, nodes)
-        np.testing.assert_array_equal(got_offsets, offsets)
-        assert not got_nodes.flags.writeable
-
-    def test_empty_arrays_roundtrip(self, session):
-        arena = ShmArena(session, "a")
-        ref = arena.write_arrays((np.empty(0, dtype=np.int64),))
-        (view,) = arena.read(ref)
-        assert view.size == 0
-
-    def test_slices_are_aligned_and_disjoint(self, session):
-        arena = ShmArena(session, "a")
-        first = arena.write_arrays((np.ones(3, dtype=np.int64),))
-        second = arena.write_arrays((np.full(4, 2, dtype=np.int64),))
-        assert first.offset % 64 == 0 and second.offset % 64 == 0
-        assert second.offset >= first.offset + first.nbytes
-        np.testing.assert_array_equal(arena.read(first)[0], np.ones(3))
-        np.testing.assert_array_equal(arena.read(second)[0], np.full(4, 2))
-
-    def test_growth_spills_to_new_segment(self, session):
-        arena = ShmArena(session, "a", capacity=1024)
-        big = np.arange(4096, dtype=np.int64)  # 32 KiB > 1 KiB base
-        ref = arena.write_arrays((big,))
-        assert ref.segment == "a.g1"
-        np.testing.assert_array_equal(arena.read(ref)[0], big)
-        assert os.path.exists(os.path.join(session.path, "a.g1"))
-
-    def test_reader_endpoint_resolves_by_name(self, session):
-        writer = ShmArena(session, "w", capacity=1024)
-        reader = ShmArena.reader(session)
-        payload = np.arange(2048, dtype=np.int64)
-        small = writer.write_arrays((payload[:4],))
-        grown = writer.write_arrays((payload,))  # spills to w.g1
-        np.testing.assert_array_equal(reader.read(small)[0], payload[:4])
-        np.testing.assert_array_equal(reader.read(grown)[0], payload)
-
-    def test_reset_rewinds_and_unlinks_grow_files(self, session):
-        arena = ShmArena(session, "a", capacity=1024)
-        arena.write_arrays((np.arange(4096, dtype=np.int64),))
-        grow_path = os.path.join(session.path, "a.g1")
-        assert os.path.exists(grow_path)
-        arena.reset()
-        assert not os.path.exists(grow_path)
-        ref = arena.write_arrays((np.arange(5, dtype=np.int64),))
-        assert ref.segment == "a" and ref.offset == 0
-
-    def test_capacity_default_env_override(self, monkeypatch):
-        assert default_arena_bytes() == DEFAULT_ARENA_BYTES
-        monkeypatch.setenv("REPRO_SHM_ARENA_BYTES", "4096")
-        assert default_arena_bytes() == 4096
-        monkeypatch.setenv("REPRO_SHM_ARENA_BYTES", "not-a-number")
-        with pytest.raises(ValidationError, match="REPRO_SHM_ARENA_BYTES"):
-            default_arena_bytes()
-
-
-class TestToggles:
-    def test_env_disables(self, monkeypatch):
-        for value in ("0", "off", "pickle", "OFF"):
-            monkeypatch.setenv("REPRO_SHM", value)
-            assert not shm_enabled()
-            assert payload_transport() == "pickle"
-
-    def test_enabled_by_default_with_fork(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        import multiprocessing
-
-        expected = "fork" in multiprocessing.get_all_start_methods()
-        assert shm_enabled() == expected
-
-    def test_unrecognized_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "maybe")
-        with pytest.raises(ValidationError, match="REPRO_SHM"):
-            shm_enabled()
+def _shm_entries():
+    """Names under ``/dev/shm`` (empty where the platform has none)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return set(os.listdir("/dev/shm"))
 
 
 class TestPoolTransport:
-    """The tentpole acceptance at the backend level: identical bytes over
-    shm and over the pickle twin, correct provenance, no leaks."""
+    """Process-pool chunks equal serial ones, batch after batch."""
 
     @pytest.fixture(scope="class")
     def reference(self, medium_graph, medium_probabilities):
@@ -183,65 +41,45 @@ class TestPoolTransport:
     def test_shm_transport_bytes(
         self, monkeypatch, medium_graph, medium_probabilities, reference
     ):
-        _force_shm(monkeypatch)
+        monkeypatch.setenv("REPRO_SHM", "1")
+        before = _shm_entries()
         with ProcessPoolBackend(3) as backend:
-            assert backend.payload_transport == "shm"
             self._assert_matches(
                 backend, medium_graph, medium_probabilities, reference
             )
-            # A second batch exercises the epoch rewind of worker arenas.
+            # A second batch on the same live pool reuses its workers.
             self._assert_matches(
                 backend, medium_graph, medium_probabilities, reference
             )
-        assert not _session_dirs()
+        assert _shm_entries() <= before
 
     def test_pickle_twin_bytes(
         self, monkeypatch, medium_graph, medium_probabilities, reference
     ):
         monkeypatch.setenv("REPRO_SHM", "0")
+        before = _shm_entries()
         with ProcessPoolBackend(3) as backend:
-            assert backend.payload_transport == "pickle"
             self._assert_matches(
                 backend, medium_graph, medium_probabilities, reference
             )
-        assert not _session_dirs()
-
-    def test_arena_growth_under_load(
-        self, monkeypatch, medium_graph, medium_probabilities
-    ):
-        """Tiny arenas force every chunk through the grow path."""
-        _force_shm(monkeypatch)
-        monkeypatch.setenv("REPRO_SHM_ARENA_BYTES", "256")
-        reference = SerialBackend().sample_rr_sets_packed(
-            medium_graph, medium_probabilities, 400, seed=5
-        )
-        with ProcessPoolBackend(2) as backend:
-            packed = backend.sample_rr_sets_packed(
-                medium_graph, medium_probabilities, 400, seed=5
-            )
-            np.testing.assert_array_equal(packed.nodes, reference.nodes)
-            np.testing.assert_array_equal(packed.offsets, reference.offsets)
-        assert not _session_dirs()
-
-    def test_inline_transport_for_same_address_space_backends(self):
-        assert SerialBackend().payload_transport == "inline"
-        with ThreadPoolBackend(2) as backend:
-            assert backend.payload_transport == "inline"
+        assert _shm_entries() <= before
 
     def test_close_is_idempotent_and_backend_reusable(
         self, medium_graph, medium_probabilities
     ):
+        before = _shm_entries()
         backend = ProcessPoolBackend(2)
         first = backend.sample_rr_sets_packed(
-            medium_graph, medium_probabilities, 100, seed=3
+            medium_graph, medium_probabilities, 300, seed=3, chunk_size=64
         )
         backend.close()
-        assert not _session_dirs()
-        # The executor contract allows reuse after close: a fresh pool —
-        # and a fresh session — must produce the same bytes again.
+        backend.close()
+        # The executor contract allows reuse after close: a fresh pool
+        # must produce the same bytes again.
         second = backend.sample_rr_sets_packed(
-            medium_graph, medium_probabilities, 100, seed=3
+            medium_graph, medium_probabilities, 300, seed=3, chunk_size=64
         )
         backend.close()
         np.testing.assert_array_equal(first.nodes, second.nodes)
-        assert not _session_dirs()
+        np.testing.assert_array_equal(first.offsets, second.offsets)
+        assert _shm_entries() <= before
