@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.backend.base import (
-    DEFAULT_RR_CHUNK_SIZE,
     ExecutionBackend,
     default_worker_count,
     seed_to_sequence,
@@ -38,7 +37,6 @@ from repro.backend.serial import SerialBackend
 from repro.utils.validation import ValidationError
 
 __all__ = [
-    "DEFAULT_RR_CHUNK_SIZE",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadPoolBackend",

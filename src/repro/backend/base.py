@@ -22,10 +22,15 @@ the service layer's caching and replay guarantees rest on.
 :meth:`~ExecutionBackend.sample_rr_sets_packed` builds on ``map_chunks`` to
 give every backend the chunked RR-sampling strategy shared by
 :class:`~repro.propagation.rrsets.RRSetCollection`, the targeted-IM engine
-and the RIS baseline.  Chunk workers return packed ``(nodes,
-offsets)`` arrays — two flat buffers per chunk — rather than pickled lists
-of Python sets, and process pools adopt the graph and edge-probability
-arrays once per worker (see
+and the RIS baseline.  A batch is split into one contiguous chunk per
+worker — the whole batch in one call on a serial backend — because a
+chunk's fixed costs are paid once per call: the coin thresholds, and the
+NumPy sampler's passes, which it sizes by members (about 2¹⁷ expected
+pairs per pass, never fewer than 1 024 sets; see
+:mod:`repro.propagation.kernels`).  Chunk workers return packed
+``(nodes, offsets)`` arrays — two flat buffers per chunk — rather than
+pickled lists of Python sets, and process pools adopt the graph and
+edge-probability arrays once per worker (see
 :class:`~repro.backend.pools.ProcessPoolBackend`) instead of shipping them
 with every chunk.
 """
@@ -44,17 +49,13 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError, check_positive
 
 __all__ = [
-    "DEFAULT_RR_CHUNK_SIZE",
     "ExecutionBackend",
     "default_worker_count",
     "draw_batch_key",
+    "partition_contiguous",
     "rr_chunk_plan",
     "seed_to_sequence",
 ]
-
-#: Sets per chunk of an RR batch: pure scheduling (any chunk size gives
-#: the same bytes), sized to one pass of the NumPy sampler.
-DEFAULT_RR_CHUNK_SIZE = 1024
 
 
 def default_worker_count() -> int:
@@ -67,13 +68,33 @@ def draw_batch_key(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**64, dtype=np.uint64))
 
 
+def partition_contiguous(total: int, parts: int) -> List[Tuple[int, int]]:
+    """Balanced contiguous split of ``range(total)`` into *parts* slices.
+
+    Earlier slices take the remainder, matching ``np.array_split``.  It
+    splits an RR batch's set range across workers or shards; slices may
+    be empty when ``parts > total``.
+    """
+    if parts <= 0:
+        raise ValueError(f"parts must be positive, got {parts}")
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    base, remainder = divmod(total, parts)
+    bounds: List[Tuple[int, int]] = []
+    start = 0
+    for part in range(parts):
+        size = base + (1 if part < remainder else 0)
+        bounds.append((start, start + size))
+        start += size
+    return bounds
+
+
 def rr_chunk_plan(num_sets: int, chunk_size: int) -> List[Tuple[int, int]]:
     """The ``(start, stop)`` set-index range of every chunk of a batch.
 
     Each chunk samples sets ``start … stop − 1`` from the batch's key and
-    their roots; a scheduler (a worker pool mapping chunks, or a cluster
-    coordinator handing contiguous chunk ranges to shard processes)
-    reproduces the batch by concatenating chunk results in plan order.
+    their roots; a scheduler reproduces the batch by concatenating chunk
+    results in plan order.
     """
     return [
         (start, min(start + chunk_size, num_sets))
@@ -219,17 +240,27 @@ class ExecutionBackend(abc.ABC):
         seed: SeedLike = None,
         *,
         roots: Optional[Sequence[int]] = None,
-        chunk_size: int = DEFAULT_RR_CHUNK_SIZE,
+        chunk_size: Optional[int] = None,
     ) -> PackedRRSets:
-        """Sample *num_sets* RR sets in chunks of *chunk_size*.
+        """Sample *num_sets* RR sets, one contiguous chunk per worker.
 
-        The batch key is drawn from *seed* first, then (without explicit
-        *roots*) the uniform roots; with *roots*, set ``i`` is rooted at
-        ``roots[i % len(roots)]``.  The result depends only on *seed* and
-        *roots* — never on the backend, its workers or *chunk_size*.
+        An explicit *chunk_size* splits the batch into chunks of that many
+        sets instead.  The batch key is drawn from *seed* first, then
+        (without explicit *roots*) the uniform roots; with *roots*, set
+        ``i`` is rooted at ``roots[i % len(roots)]``.  The result depends
+        only on *seed* and *roots* — never on the backend, its workers or
+        *chunk_size*.
         """
         check_positive(num_sets, "num_sets")
-        check_positive(chunk_size, "chunk_size")
+        if chunk_size is None:
+            plan = [
+                (start, stop)
+                for start, stop in partition_contiguous(num_sets, self.workers)
+                if start < stop
+            ]
+        else:
+            check_positive(chunk_size, "chunk_size")
+            plan = rr_chunk_plan(num_sets, chunk_size)
         if graph.num_nodes == 0:
             raise ValidationError("cannot sample RR sets on an empty graph")
         rng = as_generator(seed)
@@ -251,7 +282,7 @@ class ExecutionBackend(abc.ABC):
         )
         tasks = [
             (payload, key, start, root_array[start:stop])
-            for start, stop in rr_chunk_plan(num_sets, chunk_size)
+            for start, stop in plan
         ]
         chunks = self.map_chunks(_sample_rr_chunk, tasks)
         return PackedRRSets.from_chunks(graph.num_nodes, chunks)

@@ -29,8 +29,8 @@ and is a whole-query replica.  Requests then take one of two paths:
   replica with the engine's one replaceable step — sample + greedy cover
   (:data:`repro.core.targeted.CoverStep`) — swapped for the shard
   exchange.  That step draws the batch key from the engine stream as the
-  local step does, splits the chunk plan
-  (:func:`repro.backend.base.rr_chunk_plan`) into contiguous ranges,
+  local step does, splits the batch's set range into one contiguous
+  range per shard (:func:`repro.backend.base.partition_contiguous`),
   sends each shard one ``SampleShard`` for its range of set indices and
   roots, concatenates the returned batches in shard order and runs the
   ordinary
@@ -66,7 +66,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend.base import DEFAULT_RR_CHUNK_SIZE, draw_batch_key, rr_chunk_plan
+from repro.backend.base import draw_batch_key, partition_contiguous
 from repro.cluster.protocol import (
     ExecuteRequest,
     Ping,
@@ -98,27 +98,6 @@ __all__ = [
     "ShardTimeoutError",
     "partition_contiguous",
 ]
-
-
-def partition_contiguous(total: int, parts: int) -> List[Tuple[int, int]]:
-    """Balanced contiguous split of ``range(total)`` into *parts* slices.
-
-    Earlier slices take the remainder, matching ``np.array_split``.  Used
-    for chunk→shard assignment (the sampling partition); slices may be
-    empty when ``parts > total``.
-    """
-    if parts <= 0:
-        raise ValueError(f"parts must be positive, got {parts}")
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    base, remainder = divmod(total, parts)
-    bounds: List[Tuple[int, int]] = []
-    start = 0
-    for part in range(parts):
-        size = base + (1 if part < remainder else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
 
 
 class ShardError(Exception):
@@ -633,22 +612,20 @@ class ClusterCoordinator:
         """The fanned-out :data:`~repro.core.targeted.CoverStep`.
 
         Draws the batch key from the engine's stream as the local step
-        would; each shard with a non-empty range of the chunk plan samples
-        those sets and returns the packed batch; the coordinator
-        concatenates the batches in shard order (plan order) and runs the
+        would; each shard with a non-empty contiguous range of the batch's
+        sets samples them and returns the packed batch; the coordinator
+        concatenates the batches in shard order (set order) and runs the
         same greedy cover as :func:`~repro.core.targeted.sample_and_cover`.
         Raises :class:`ShardError` when the exchange fails.
         """
         key = draw_batch_key(engine._rng)
-        plan = rr_chunk_plan(len(roots), DEFAULT_RR_CHUNK_SIZE)
         handles: List[_ShardHandle] = []
         commands: List[SampleShard] = []
-        for handle, (low, high) in zip(
-            self._handles, partition_contiguous(len(plan), len(self._handles))
+        for handle, (start, stop) in zip(
+            self._handles, partition_contiguous(len(roots), len(self._handles))
         ):
-            if low == high:
+            if start == stop:
                 continue
-            start, stop = plan[low][0], plan[high - 1][1]
             handles.append(handle)
             commands.append(
                 SampleShard(

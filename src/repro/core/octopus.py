@@ -464,9 +464,8 @@ class Octopus:
     def statistics(self) -> Dict[str, object]:
         """Build/query timings and index sizes (cache stats live in the
         service layer, where the cache now lives).  Values are floats
-        except the ``execution.*`` identity keys (backend name, RR-kernel
-        provenance, payload transport), which are strings so snapshots are
-        self-describing."""
+        except the ``execution.*`` identity keys (backend name and RR-kernel
+        provenance), which are strings so snapshots are self-describing."""
         stats: Dict[str, object] = {}
         for name, total in self._stopwatch.totals().items():
             stats[f"seconds.{name}"] = total

@@ -14,9 +14,13 @@ range yields the same bytes.
 **The sampler** (:func:`sample_packed_rr_sets`) advances every set of a
 pass together, one BFS level per NumPy round: gather the in-edges of every
 ``(set, node)`` frontier pair → one coin per gathered edge → dedup the live
-sources against the pairs already reached.  A pass holds at most
-``_PASS_SETS`` sets and gathers at most ``_PASS_EDGES`` edges per round, so
-the temporaries stay a few arrays of 8-byte words whatever the batch size.
+sources against the pairs already reached.  Passes are sized by members,
+not by a set count: a call's first pass holds at most ``_PASS_FLOOR`` sets,
+and each later pass as many sets as keep its expected members — at the
+call's mean members per set so far — under ``_PASS_PAIRS``, never fewer
+than ``_PASS_FLOOR``.  A round gathers at most ``_PASS_EDGES`` edges, so
+the temporaries stay a few arrays of 8-byte words whatever the batch size,
+while a batch of small sets pays a pass's fixed NumPy costs about once.
 Members come out in canonical order — per set, BFS level, then ascending
 node — which greedy tie-breaking (first occurrence) reads.
 
@@ -44,9 +48,12 @@ __all__ = [
     "sample_packed_rr_sets",
 ]
 
-#: Sets advanced together per pass, and in-edges gathered per round of a
-#: pass: they bound the sampler's temporaries.
-_PASS_SETS = 1024
+#: Pass sizing (see the module docstring): the sets of a call's first
+#: pass and the floor of every later one; the expected members a later
+#: pass may hold; and the in-edges gathered per round of a pass.  Any
+#: sizing gives the same bytes: they bound the sampler's temporaries.
+_PASS_FLOOR = 1024
+_PASS_PAIRS = 1 << 17
 _PASS_EDGES = 1 << 15
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -90,13 +97,23 @@ def sample_packed_rr_sets(
     if roots.size == 0:
         return _EMPTY, np.zeros(1, dtype=np.int64)
     thresholds = coin_thresholds(probabilities)
-    chunks = [
-        _sample_pass(graph, thresholds, key, first + start,
-                     roots[start:start + _PASS_SETS])
-        for start in range(0, roots.size, _PASS_SETS)
-    ]
-    nodes = np.concatenate([chunk[0] for chunk in chunks])
-    counts = np.concatenate([chunk[1] for chunk in chunks])
+    node_parts: List[np.ndarray] = []
+    count_parts: List[np.ndarray] = []
+    start = members = 0
+    while start < roots.size:
+        # Every set holds its root, so ``members >= start`` after a pass.
+        size = _PASS_FLOOR
+        if start:
+            size = max(size, _PASS_PAIRS * start // members)
+        pass_nodes, pass_counts = _sample_pass(
+            graph, thresholds, key, first + start, roots[start:start + size]
+        )
+        node_parts.append(pass_nodes)
+        count_parts.append(pass_counts)
+        members += pass_nodes.size
+        start += size
+    nodes = np.concatenate(node_parts)
+    counts = np.concatenate(count_parts)
     offsets = np.zeros(roots.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return nodes, offsets

@@ -154,13 +154,16 @@ class PackedRRSets:
 
         Node ``v``'s sets are
         ``member_sets[member_offsets[v]:member_offsets[v + 1]]``, ascending.
-        Built once, on first use, by one stable argsort of ``nodes``.
+        Built once, on first use, by one stable argsort of ``nodes`` cast to
+        the narrowest unsigned dtype that holds ``num_nodes - 1``: the same
+        stable order, and NumPy radix-sorts keys of 16 bits or fewer.
         """
         if self._member_offsets is None:
             set_ids = np.repeat(
                 np.arange(self.num_sets, dtype=np.int64), np.diff(self.offsets)
             )
-            order = np.argsort(self.nodes, kind="stable")
+            keys = self.nodes.astype(np.min_scalar_type(max(self.num_nodes - 1, 0)))
+            order = np.argsort(keys, kind="stable")
             member_sets = set_ids[order]
             counts = np.bincount(self.nodes, minlength=self.num_nodes)
             member_offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)

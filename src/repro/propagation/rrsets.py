@@ -96,7 +96,7 @@ class RRSetCollection:
         a :class:`~repro.backend.SerialBackend`.
         """
         # local: repro.backend imports this package
-        from repro.backend import DEFAULT_RR_CHUNK_SIZE, resolve_backend
+        from repro.backend import resolve_backend
 
         packed = resolve_backend(backend).sample_rr_sets_packed(
             graph,
@@ -104,7 +104,7 @@ class RRSetCollection:
             num_sets,
             seed,
             roots=roots,
-            chunk_size=DEFAULT_RR_CHUNK_SIZE if chunk_size is None else chunk_size,
+            chunk_size=chunk_size,
         )
         return cls(graph, packed)
 

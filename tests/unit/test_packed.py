@@ -5,7 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.graph.digraph import SocialGraph
 from repro.propagation.packed import PackedRRSets
+from repro.propagation.rrsets import RRSetCollection
 from repro.utils.validation import ValidationError
 
 
@@ -107,3 +109,47 @@ class TestMembership:
             assert containing == [
                 index for index, rr in enumerate(sets) if node in rr
             ]
+
+
+class TestMembershipKeyWidths:
+    """``membership()`` sorts keys of the narrowest unsigned dtype that
+    holds ``num_nodes - 1``; the index must be the int64 stable-argsort
+    one on both sides of every dtype boundary."""
+
+    @pytest.mark.parametrize(
+        "num_nodes", [1, 255, 256, 257, 65_535, 65_536, 65_537]
+    )
+    def test_matches_the_int64_reference(self, num_nodes):
+        rng = np.random.default_rng(num_nodes)
+        sets = [
+            rng.choice(num_nodes, size=min(size, num_nodes), replace=False)
+            for size in rng.integers(0, 6, size=400)
+        ]
+        # The extreme ids, alone and together.
+        sets[:3] = [[0], [num_nodes - 1], [num_nodes - 1, 0][:num_nodes]]
+        sizes = np.array([len(members) for members in sets])
+        nodes = np.concatenate(sets).astype(np.int64)
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        packed = PackedRRSets(num_nodes, nodes, offsets)
+
+        set_ids = np.repeat(np.arange(len(sizes)), sizes)
+        expected_sets = set_ids[np.argsort(nodes.astype(np.int64), kind="stable")]
+        expected_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, minlength=num_nodes), out=expected_offsets[1:])
+        member_offsets, member_sets = packed.membership()
+        np.testing.assert_array_equal(member_offsets, expected_offsets)
+        np.testing.assert_array_equal(member_sets, expected_sets)
+        assert member_sets.dtype == np.int64
+
+        collection = RRSetCollection(SocialGraph.from_edges(num_nodes, []), packed)
+        for node in {0, num_nodes // 2, num_nodes - 1}:
+            containing = packed.sets_containing(node)
+            assert np.all(np.diff(containing) > 0)
+            expected = np.flatnonzero([node in members for members in sets])
+            assert containing.tolist() == expected.tolist()
+        seeds = [0, num_nodes - 1]
+        hit = [bool(np.isin(members, seeds).any()) for members in sets]
+        assert collection.estimate_spread(seeds) == (
+            num_nodes * sum(hit) / len(sizes)
+        )

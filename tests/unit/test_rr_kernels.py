@@ -14,6 +14,7 @@ core's own contracts live in ``test_native_kernel.py``.
 """
 
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from repro.backend import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from repro.backend.base import draw_batch_key
 from repro.core.octopus import OctopusConfig
 from repro.graph.digraph import SocialGraph
-from repro.graph.generators import preferential_attachment_digraph
+from repro.graph.generators import (
+    erdos_renyi_digraph,
+    preferential_attachment_digraph,
+)
 from repro.im.ris import ris_im
-from repro.propagation import native
+from repro.propagation import kernels, native
 from repro.propagation.ic import CascadeWorlds
 from repro.propagation.kernels import gather_csr_slices, sample_packed_rr_sets
 from repro.propagation.packed import PackedRRSets
@@ -366,6 +370,136 @@ class TestChunkInvariance:
         batch = _batch(medium_graph, medium_probabilities, 43, 200)
         np.testing.assert_array_equal(batch.nodes, nodes)
         np.testing.assert_array_equal(batch.offsets, offsets)
+
+
+class TestPassSizeInvariance:
+    """The NumPy sampler sizes its passes by members; the sizing is
+    scheduling only, like the chunk size."""
+
+    NUM_SETS = 1100  # past the first pass's 1 024 sets
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        """A graph whose RR sets average well over 50 nodes."""
+        graph = erdos_renyi_digraph(120, 0.05, seed=3)
+        return graph, np.full(graph.num_edges, 0.3)
+
+    @pytest.fixture
+    def pass_sizes(self, monkeypatch):
+        """The set count of every NumPy pass, in order."""
+        sizes = []
+        sample_pass = kernels._sample_pass
+        monkeypatch.setattr(
+            kernels,
+            "_sample_pass",
+            lambda *args: sizes.append(args[-1].size) or sample_pass(*args),
+        )
+        return sizes
+
+    @pytest.mark.parametrize("first", [0, 4099])
+    @pytest.mark.parametrize("regime", ["medium", "dense"])
+    def test_pass_sizing_gives_identical_bytes(
+        self, medium_graph, medium_probabilities, dense, path, monkeypatch,
+        pass_sizes, regime, first,
+    ):
+        if regime == "medium":
+            graph, probabilities = medium_graph, medium_probabilities
+        else:
+            graph, probabilities = dense
+        roots = np.random.default_rng(first).integers(
+            0, graph.num_nodes, size=self.NUM_SETS
+        )
+        reference = sample_packed_rr_sets(graph, probabilities, 77, first, roots)
+        if regime == "dense":
+            assert reference[0].size / self.NUM_SETS >= 50
+        # (floor, pair budget) → the expected NumPy pass sizes.  By
+        # default the first pass holds 1 024 sets, and on both graphs the
+        # pair budget takes the other 76 in one pass.
+        sizings = {
+            (1, 1): [1] * self.NUM_SETS,
+            (kernels._PASS_FLOOR, kernels._PASS_PAIRS): [1024, 76],
+            (self.NUM_SETS, kernels._PASS_PAIRS): [self.NUM_SETS],
+        }
+        for (floor, pairs), expected in sizings.items():
+            monkeypatch.setattr(kernels, "_PASS_FLOOR", floor)
+            monkeypatch.setattr(kernels, "_PASS_PAIRS", pairs)
+            pass_sizes.clear()
+            nodes, offsets = sample_packed_rr_sets(
+                graph, probabilities, 77, first, roots
+            )
+            np.testing.assert_array_equal(nodes, reference[0])
+            np.testing.assert_array_equal(offsets, reference[1])
+            assert pass_sizes == (expected if path == "numpy" else [])
+
+    def test_budget_follows_the_mean_set_size(self, monkeypatch, pass_sizes):
+        """Later passes hold ``_PASS_PAIRS`` ÷ the mean members so far."""
+        monkeypatch.setattr(native, "_FORCED_FALLBACK", True)
+        line = SocialGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(kernels, "_PASS_FLOOR", 4)
+        monkeypatch.setattr(kernels, "_PASS_PAIRS", 64)
+        # A set rooted at 0 is {0}; one rooted at 3 is the whole path.
+        roots = np.array([0] * 4 + [3] * 84, dtype=np.int64)
+        sample_packed_rr_sets(line, np.ones(3), 1, 0, roots)
+        # Mean 1 after the first pass: 64 sets.  Then 260 members in 68
+        # sets: 64 · 68 // 260 = 16 sets, and the floor for the last 4.
+        assert pass_sizes == [4, 64, 16, 4]
+
+
+class TestOneChunkPerWorker:
+    """Without an explicit chunk size a batch is one kernel call per
+    worker: each call pays the coin thresholds and a pass's fixed costs."""
+
+    @pytest.fixture
+    def counted_calls(self, monkeypatch):
+        """Count kernel calls, in forked pool workers too."""
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover — non-POSIX platforms
+            pytest.skip("counting calls in pool workers needs fork")
+        calls = context.Value("i", 0)
+        sample = kernels.sample_packed_rr_sets
+
+        def counting(*args):
+            with calls.get_lock():
+                calls.value += 1
+            return sample(*args)
+
+        monkeypatch.setattr(kernels, "sample_packed_rr_sets", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "factory, calls_per_batch",
+        [
+            (SerialBackend, 1),
+            (lambda: ThreadPoolBackend(2), 2),
+            (lambda: ThreadPoolBackend(4), 4),
+            (lambda: ProcessPoolBackend(2), 2),
+        ],
+    )
+    def test_kernel_calls_per_batch(
+        self, medium_graph, medium_probabilities, counted_calls, path,
+        factory, calls_per_batch,
+    ):
+        reference = _batch(medium_graph, medium_probabilities, 19, 3000, chunk_size=7)
+        counted_calls.value = 0
+        with factory() as backend:
+            packed = backend.sample_rr_sets_packed(
+                medium_graph, medium_probabilities, 3000, seed=19
+            )
+        assert counted_calls.value == calls_per_batch
+        np.testing.assert_array_equal(packed.nodes, reference.nodes)
+        np.testing.assert_array_equal(packed.offsets, reference.offsets)
+
+    def test_more_workers_than_sets(
+        self, medium_graph, medium_probabilities, counted_calls
+    ):
+        """Empty ranges are not dispatched."""
+        with ThreadPoolBackend(4) as backend:
+            packed = backend.sample_rr_sets_packed(
+                medium_graph, medium_probabilities, 3, seed=19
+            )
+        assert counted_calls.value == 3
+        assert packed.num_sets == 3
 
 
 class TestSeedStability:
