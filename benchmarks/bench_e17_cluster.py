@@ -59,7 +59,6 @@ def chunked_system(bench_dataset):
         num_sketches=30 if _SMOKE else 200,
         num_topic_samples=4 if _SMOKE else 16,
         topic_sample_rr_sets=200 if _SMOKE else 1500,
-        oracle_samples=15 if _SMOKE else 60,
         execution_backend="threads",
         workers=1,
         seed=1002,

@@ -32,7 +32,6 @@ CONFIG = OctopusConfig(
     num_sketches=30 if _SMOKE else 200,
     num_topic_samples=4 if _SMOKE else 16,
     topic_sample_rr_sets=200 if _SMOKE else 1500,
-    oracle_samples=15 if _SMOKE else 60,
     seed=1002,
 )
 

@@ -1,4 +1,4 @@
-"""E2 — the upper-bound estimator behind the best-effort framework (§II-C).
+"""E2 — the upper-bound estimator behind the paper's best-effort framework (§II-C).
 
 Measures (a) bound evaluation latency for a query over all nodes, with the
 bound tightness (mean bound, lower = tighter given it is sound) and index
@@ -13,7 +13,7 @@ that (b) evaluates a small prefix of the user ranking.
 import numpy as np
 import pytest
 
-from repro.core.besteffort import BestEffortKeywordIM
+from reference.besteffort import BestEffortKeywordIM
 
 K = 5
 

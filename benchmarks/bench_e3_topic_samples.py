@@ -6,8 +6,9 @@ the mean L1 distance to the nearest sample, plus the per-query latency
 through the index.
 
 Expected shape: more samples → closer nearest sample → higher direct-answer
-rate and lower latency (direct answers skip the oracle entirely), at a
-linearly growing offline precomputation cost (also measured).
+rate and lower latency (a direct answer skips the miss path, RIS on the
+query's own γ), at a linearly growing offline precomputation cost (also
+measured).
 """
 
 import numpy as np
@@ -65,14 +66,12 @@ def test_query_through_index(
         num_rr_sets=800,
         seed=21,
     )
-    engine = bench_system.best_effort
-
     def run_all():
         hits = 0
         distances = []
         for gamma in query_gammas:
             result = index.query(
-                gamma, 5, best_effort=engine, gap_tolerance=0.3
+                gamma, 5, fallback=bench_system.answer_miss, gap_tolerance=0.3
             )
             hits += int(result.statistics.get("answered_from_sample", 0))
             distances.append(result.statistics.get("l1_distance", 0.0))

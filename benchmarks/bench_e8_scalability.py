@@ -29,14 +29,12 @@ def _config() -> OctopusConfig:
             num_sketches=20,
             num_topic_samples=3,
             topic_sample_rr_sets=150,
-            oracle_samples=10,
             seed=81,
         )
     return OctopusConfig(
         num_sketches=150,
         num_topic_samples=8,
         topic_sample_rr_sets=800,
-        oracle_samples=50,
         seed=81,
     )
 

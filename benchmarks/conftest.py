@@ -30,8 +30,8 @@ import subprocess
 
 import pytest
 
-from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import PrecomputationBound
+from reference.besteffort import BestEffortKeywordIM
+from reference.bounds import PrecomputationBound
 from repro.core.octopus import Octopus, OctopusConfig
 from repro.datasets.citation import CitationNetworkGenerator
 
@@ -68,7 +68,6 @@ def bench_system(bench_dataset):
             num_sketches=30,
             num_topic_samples=4,
             topic_sample_rr_sets=200,
-            oracle_samples=15,
             seed=1002,
         )
     else:
@@ -76,7 +75,6 @@ def bench_system(bench_dataset):
             num_sketches=200,
             num_topic_samples=16,
             topic_sample_rr_sets=1500,
-            oracle_samples=60,
             seed=1002,
         )
     return Octopus.from_dataset(bench_dataset, config=config)
@@ -90,7 +88,7 @@ def gamma_dm(bench_system):
 
 @pytest.fixture(scope="session")
 def bound_estimator(bench_weights):
-    """The §II-C bound estimator the system serves, built once."""
+    """The paper's §II-C bound estimator (reference only), built once."""
     return PrecomputationBound(bench_weights)
 
 

@@ -32,7 +32,6 @@ def main() -> None:
             num_sketches=200,
             num_topic_samples=24,
             topic_sample_rr_sets=2000,
-            oracle_samples=80,
             seed=18,
         ),
     )

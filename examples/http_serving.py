@@ -46,7 +46,6 @@ def main() -> None:
             num_sketches=100,
             num_topic_samples=6,
             topic_sample_rr_sets=400,
-            oracle_samples=30,
             seed=7,
         ),
     )

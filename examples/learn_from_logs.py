@@ -46,7 +46,6 @@ def main() -> None:
         num_sketches=150,
         num_topic_samples=12,
         topic_sample_rr_sets=1000,
-        oracle_samples=60,
         seed=52,
     )
     learned_system = Octopus(

@@ -54,7 +54,6 @@ def main() -> None:
             num_sketches=150,
             num_topic_samples=16,
             topic_sample_rr_sets=1200,
-            oracle_samples=60,
             seed=62,
         ),
     )

@@ -35,7 +35,6 @@ def main() -> None:
             num_sketches=100,
             num_topic_samples=8,
             topic_sample_rr_sets=800,
-            oracle_samples=60,
             seed=32,
         ),
     )

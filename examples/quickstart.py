@@ -46,7 +46,6 @@ def main() -> None:
         num_sketches=200,
         num_topic_samples=16,
         topic_sample_rr_sets=1500,
-        oracle_samples=80,
         # Index builds parallelise across a worker pool; the backend is pure
         # scheduling — with a fixed seed "serial" (the default), "threads"
         # and "processes" give identical results at any worker count (the

@@ -26,7 +26,6 @@ def main() -> None:
             num_sketches=300,
             num_topic_samples=8,
             topic_sample_rr_sets=800,
-            oracle_samples=60,
             suggestion_candidate_limit=12,
             seed=24,
         ),

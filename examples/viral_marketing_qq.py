@@ -32,7 +32,6 @@ def main() -> None:
             num_sketches=200,
             num_topic_samples=16,
             topic_sample_rr_sets=1500,
-            oracle_samples=80,
             seed=42,
         ),
     )

@@ -6,6 +6,9 @@ repository root puts the root on ``sys.path``, which is how the tests and
 benchmarks import it.
 
 * :mod:`reference.greedy` — CELF greedy IM (benchmarks E1, E7).
+* :mod:`reference.besteffort` — the paper's best-effort keyword-IM search
+  (§II-C), which the served system replaced with RIS on γ (E1–E3, E7).
+* :mod:`reference.bounds` — its walk-sum upper bounds (E2).
 * :mod:`reference.heuristics` — degree / degree-discount / PageRank / random
   seed selection (E7), on :mod:`reference.analysis`.
 * :mod:`reference.mia` — the MIA model [4] and MIA-greedy (E7, and an

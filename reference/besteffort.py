@@ -1,4 +1,9 @@
-"""The best-effort framework for online keyword-based IM (§II-C).
+"""The paper's best-effort framework for online keyword-based IM (§II-C).
+
+Reference only: the served system answers a topic-sample miss with RIS on
+the query's own γ (:func:`repro.core.topic_samples.ris_seed_prefixes`).
+This search stays for benchmarks E1–E3 and the tests that pin the paper's
+pruning claim.
 
 "We introduce a best-effort framework that estimates an upper bound of the
 influence spread for each user and then preferentially computes the exact
@@ -34,7 +39,6 @@ pruning" device of [3].
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Dict, List, Optional, Sequence
 
@@ -44,7 +48,7 @@ from repro.im.base import IMResult
 from repro.propagation.estimators import MonteCarloSpreadEstimator
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.heap import LazyGreedyQueue
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, base_entropy, query_rng
 from repro.utils.validation import (
     ValidationError,
     check_in_range,
@@ -55,33 +59,6 @@ from repro.utils.validation import (
 __all__ = ["BestEffortKeywordIM"]
 
 
-def _base_entropy(seed: SeedLike) -> int:
-    """Collapse any seed form into one integer entropy value."""
-    if isinstance(seed, np.random.Generator):
-        return int(seed.integers(0, 2**63 - 1))
-    if isinstance(seed, np.random.SeedSequence):
-        return int(seed.generate_state(1, dtype=np.uint64)[0])
-    if seed is None:
-        return int(np.random.SeedSequence().generate_state(1)[0])
-    return int(seed)
-
-
-def _query_rng(entropy: int, probabilities: np.ndarray) -> np.random.Generator:
-    """Per-query generator keyed by (engine seed, query probabilities).
-
-    Identical queries draw identical randomness regardless of what ran
-    before them, so answers are reproducible: a cached response, a replayed
-    log entry and a batched duplicate all equal a fresh computation.
-    """
-    digest = hashlib.blake2b(
-        np.ascontiguousarray(probabilities, dtype=np.float64).tobytes(),
-        digest_size=8,
-    ).digest()
-    return np.random.default_rng(
-        np.random.SeedSequence([entropy, int.from_bytes(digest, "little")])
-    )
-
-
 class BestEffortKeywordIM:
     """Online keyword IM: bound-driven lazy greedy over a Monte-Carlo oracle.
 
@@ -90,7 +67,7 @@ class BestEffortKeywordIM:
     edge_weights:
         The topic-aware edge probabilities.
     bound_estimator:
-        Any :class:`~repro.core.bounds.UpperBoundEstimator`.
+        Any :class:`~reference.bounds.UpperBoundEstimator`.
     num_samples:
         Live-edge worlds per query of the Monte-Carlo oracle.
     seed:
@@ -111,7 +88,7 @@ class BestEffortKeywordIM:
         self.graph = edge_weights.graph
         self.bound_estimator = bound_estimator
         self.num_samples = num_samples
-        self._entropy = _base_entropy(seed)
+        self._entropy = base_entropy(seed)
         self._oracle_lock = threading.Lock()
         self._oracle_explores = 0
         self._oracle_memo_hits = 0
@@ -163,7 +140,7 @@ class BestEffortKeywordIM:
             self.graph,
             probabilities,
             num_samples=self.num_samples,
-            seed=_query_rng(self._entropy, probabilities),
+            seed=query_rng(self._entropy, probabilities),
         )
 
         bounds = np.asarray(self.bound_estimator.bounds(gamma), dtype=np.float64)

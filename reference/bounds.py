@@ -1,5 +1,8 @@
 """The upper-bound estimator for topic-aware influence spread (§II-C).
 
+Reference only: it prunes :class:`reference.besteffort.BestEffortKeywordIM`,
+which the served system no longer runs.
+
 The best-effort framework "estimates an upper bound of the influence spread
 for each user and then preferentially computes the exact influence spread for
 the users with larger upper bounds".  :class:`PrecomputationBound` is [3]'s

@@ -432,7 +432,6 @@ def _load_service(arguments: argparse.Namespace) -> OctopusService:
             num_sketches=60,
             num_topic_samples=6,
             topic_sample_rr_sets=400,
-            oracle_samples=30,
             execution_backend=backend,
             workers=workers,
             seed=arguments.seed,

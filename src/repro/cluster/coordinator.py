@@ -356,9 +356,7 @@ class ClusterCoordinator:
         merged key-wise (bucket counts sum exactly; percentiles recompute over
         the merged distribution) and re-emitted under
         ``cluster.shards.service.*`` so ``/stats`` shows fleet-wide
-        latency, not just the coordinator's own; the replicas' best-effort
-        oracle counters are summed the same way under
-        ``cluster.shards.best_effort.*``.
+        latency, not just the coordinator's own.
         """
         stats: Dict[str, Any] = dict(self.service.stats())
         stats["executor.kind"] = self.kind
@@ -393,10 +391,6 @@ class ClusterCoordinator:
             shard_snapshots, key_prefix="service."
         ).items():
             stats[f"cluster.shards.{key}"] = value
-        for key in ("best_effort.oracle_explores", "best_effort.oracle_memo_hits"):
-            stats[f"cluster.shards.{key}"] = sum(
-                float(info.get(key, 0.0)) for info in shard_snapshots
-            )
         return stats
 
     def health(self) -> Dict[str, Any]:

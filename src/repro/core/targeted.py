@@ -39,7 +39,12 @@ from repro.utils.validation import (
     check_simplex,
 )
 
-__all__ = ["CoverStep", "TargetedKeywordIM", "sample_and_cover"]
+__all__ = [
+    "CoverStep",
+    "TargetedKeywordIM",
+    "draw_weighted_roots",
+    "sample_and_cover",
+]
 
 #: The one replaceable step of :meth:`TargetedKeywordIM.query`:
 #: ``(engine, gamma, roots, k) -> (seeds, n-scaled covered-set spread)`` —
@@ -65,6 +70,22 @@ def sample_and_cover(
         backend=engine.backend,
     )
     return collection.greedy_max_cover(k)
+
+
+def draw_weighted_roots(
+    rng: np.random.Generator, distribution: np.ndarray, size: int
+) -> np.ndarray:
+    """``rng.choice(len(distribution), size, p=distribution)``, searched in
+    the CDF of the nonzero-weight nodes only.
+
+    Skipped zeros add exactly 0.0 to a cumulative sum, so the CDF values,
+    the uniform draws and the stream position after them are those of
+    ``Generator.choice``; only the search is over the audience, not n.
+    """
+    ids = np.flatnonzero(distribution)
+    cdf = np.cumsum(distribution[ids])
+    cdf /= cdf[-1]
+    return ids[cdf.searchsorted(rng.random(size), side="right")]
 
 
 class TargetedKeywordIM:
@@ -154,12 +175,9 @@ class TargetedKeywordIM:
         check_positive(num_sets, "num_sets")
 
         total_weight = float(weights.sum())
-        root_distribution = weights / total_weight
         # Audience-weighted roots are drawn here from the engine stream;
         # the cover step draws the batch key from the same stream.
-        roots = self._rng.choice(
-            self.graph.num_nodes, size=num_sets, p=root_distribution
-        )
+        roots = draw_weighted_roots(self._rng, weights / total_weight, num_sets)
         seeds, covered_fraction_spread = self.cover(self, gamma, roots, k)
         # greedy_max_cover scales by n; rescale to audience-weight units.
         covered_fraction = covered_fraction_spread / self.graph.num_nodes

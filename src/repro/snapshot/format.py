@@ -306,6 +306,7 @@ _RETIRED_CONFIG_FIELDS = {
     "oracle": "mc",
     "oracle_rr_sets": 2000,
     "rr_kernel": "vectorized",
+    "oracle_samples": 100,
 }
 
 

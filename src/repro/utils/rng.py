@@ -9,11 +9,18 @@ order in which sub-streams are consumed.
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "as_generator", "spawn_generators"]
+__all__ = [
+    "SeedLike",
+    "as_generator",
+    "base_entropy",
+    "query_rng",
+    "spawn_generators",
+]
 
 SeedLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
@@ -49,3 +56,33 @@ def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:
     else:
         sequence = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
+
+
+def base_entropy(seed: SeedLike) -> int:
+    """Collapse any seed form into one integer entropy value.
+
+    A live generator gives one draw; ``None`` gives fresh OS entropy.
+    """
+    if isinstance(seed, np.random.Generator):
+        return int(seed.integers(0, 2**63 - 1))
+    if isinstance(seed, np.random.SeedSequence):
+        return int(seed.generate_state(1, dtype=np.uint64)[0])
+    if seed is None:
+        return int(np.random.SeedSequence().generate_state(1)[0])
+    return int(seed)
+
+
+def query_rng(entropy: int, probabilities: np.ndarray) -> np.random.Generator:
+    """Per-query generator keyed by (engine entropy, query probabilities).
+
+    Identical queries draw identical randomness regardless of what ran
+    before them, so answers are reproducible: a cached response, a replayed
+    log entry and a batched duplicate all equal a fresh computation.
+    """
+    digest = hashlib.blake2b(
+        np.ascontiguousarray(probabilities, dtype=np.float64).tobytes(),
+        digest_size=8,
+    ).digest()
+    return np.random.default_rng(
+        np.random.SeedSequence([entropy, int.from_bytes(digest, "little")])
+    )

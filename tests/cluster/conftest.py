@@ -44,7 +44,6 @@ def small_config(
         num_sketches=30,
         num_topic_samples=3,
         topic_sample_rr_sets=150,
-        oracle_samples=15,
         execution_backend=execution_backend,
         workers=workers,
         seed=29,

@@ -18,7 +18,6 @@ class TestSaveLoadRebuild:
             num_sketches=60,
             num_topic_samples=6,
             topic_sample_rr_sets=400,
-            oracle_samples=30,
             seed=5,
         )
         original = Octopus.from_dataset(citation_dataset, config=config)

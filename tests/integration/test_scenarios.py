@@ -20,7 +20,6 @@ def system(citation_dataset):
         num_sketches=150,
         num_topic_samples=16,
         topic_sample_rr_sets=1500,
-        oracle_samples=60,
         seed=2024,
     )
     return Octopus.from_dataset(citation_dataset, config=config)
@@ -176,7 +175,6 @@ class TestScenarioQQ:
             num_sketches=150,
             num_topic_samples=12,
             topic_sample_rr_sets=1000,
-            oracle_samples=60,
             seed=808,
         )
         return Octopus.from_dataset(qq_dataset, config=config)

@@ -83,8 +83,7 @@ class TestMetricsEndpointThreaded:
         assert 'octopus_stat{key="uptime_seconds"}' in body
         compiled = "1" if use_compiled() else "0"
         assert f'octopus_stat{{key="execution.rr_kernel_compiled"}} {compiled}' in body
-        for key in ("best_effort.oracle_explores", "best_effort.oracle_memo_hits"):
-            assert f'octopus_stat{{key="{key}"}}' in body
+        assert "best_effort." not in body
 
     def test_fresh_server_scrapes_cleanly(self, backend, running_server):
         with running_server(OctopusService(backend)) as server:
@@ -319,7 +318,6 @@ class TestTracingDeterminism:
             num_sketches=30,
             num_topic_samples=3,
             topic_sample_rr_sets=150,
-            oracle_samples=15,
             seed=29,
         )
         service = OctopusService(Octopus.from_dataset(citation_dataset, config=config))

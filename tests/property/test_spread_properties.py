@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from reference.mia import MIAModel
 from reference.worlds import WorldEnsemble
-from repro.core.bounds import PrecomputationBound, walk_sum_bounds
+from reference.bounds import PrecomputationBound, walk_sum_bounds
 from repro.graph.digraph import SocialGraph
 from repro.topics.edges import TopicEdgeWeights
 

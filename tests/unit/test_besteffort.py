@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import PrecomputationBound
+from reference.besteffort import BestEffortKeywordIM
+from reference.bounds import PrecomputationBound
 from repro.im.ris import ris_im
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.validation import ValidationError

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bounds import PrecomputationBound, walk_sum_bounds
+from reference.bounds import PrecomputationBound, walk_sum_bounds
 from repro.propagation.ic import IndependentCascade
 from repro.topics.edges import TopicEdgeWeights
 from repro.utils.validation import ValidationError

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.besteffort import BestEffortKeywordIM
-from repro.core.bounds import PrecomputationBound
+from reference.besteffort import BestEffortKeywordIM
+from reference.bounds import PrecomputationBound
 from repro.core.influencer_index import InfluencerIndex
 from repro.core.paths import InfluencePathExplorer
 from repro.graph.digraph import SocialGraph

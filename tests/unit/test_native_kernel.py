@@ -332,7 +332,6 @@ class TestServiceBytesAcrossPaths:
                 num_sketches=20,
                 num_topic_samples=3,
                 topic_sample_rr_sets=120,
-                oracle_samples=10,
                 seed=91,
             )
             service = OctopusService(

@@ -1,5 +1,7 @@
 """Unit tests for the Octopus facade (configuration, parsing, plumbing)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ def system(citation_dataset_module):
         num_sketches=80,
         num_topic_samples=8,
         topic_sample_rr_sets=500,
-        oracle_samples=40,
         seed=9,
     )
     return Octopus.from_dataset(citation_dataset_module, config=config)
@@ -190,7 +191,6 @@ class TestServicesPlumbing:
             num_sketches=30,
             num_topic_samples=4,
             topic_sample_rr_sets=200,
-            oracle_samples=20,
             seed=3,
         )
         system = Octopus.from_dataset(
@@ -243,7 +243,6 @@ class TestExecutionBackends:
                 num_sketches=20,
                 num_topic_samples=3,
                 topic_sample_rr_sets=120,
-                oracle_samples=10,
                 execution_backend=backend_name,
                 workers=workers,
                 seed=91,
@@ -258,3 +257,147 @@ class TestExecutionBackends:
                     workers or 1
                 )
         assert answers[0] == answers[1] == answers[2]
+
+
+def _miss_config(**overrides) -> OctopusConfig:
+    values = dict(
+        num_sketches=20,
+        num_topic_samples=3,
+        topic_sample_rr_sets=400,
+        topic_sample_max_k=10,
+        seed=13,
+    )
+    values.update(overrides)
+    return OctopusConfig(**values)
+
+
+def _answer(result):
+    return (result.seeds, result.spread, result.marginal_gains, result.statistics)
+
+
+class TestMissAnswers:
+    """A topic-sample miss is RIS on the query's own γ, keyed per query."""
+
+    @pytest.fixture(scope="class")
+    def miss_system(self, citation_dataset_module):
+        return Octopus.from_dataset(citation_dataset_module, config=_miss_config())
+
+    @pytest.fixture(scope="class")
+    def misses(self, miss_system):
+        words = miss_system.topic_model.vocabulary.words()
+        found = [
+            word
+            for word in words
+            if not miss_system.find_influencers([word], k=3).statistics[
+                "answered_from_sample"
+            ]
+        ]
+        assert len(found) >= 3
+        return found[:3]
+
+    def test_same_answer_before_and_after_unrelated_queries(
+        self, citation_dataset_module, miss_system, misses
+    ):
+        fresh = Octopus.from_dataset(citation_dataset_module, config=_miss_config())
+        first = fresh.find_influencers([misses[0]], k=4)
+        fresh.find_influencers([misses[1]], k=6)
+        fresh.find_targeted_influencers([misses[2]], k=2, num_sets=300)
+        fresh.suggest_keywords(0, k=2)
+        fresh.explore_paths(0)
+        assert _answer(fresh.find_influencers([misses[0]], k=4)) == _answer(first)
+        assert _answer(miss_system.find_influencers([misses[0]], k=4)) == _answer(
+            first
+        )
+
+    def test_k_answers_are_nested_prefixes(self, miss_system, misses):
+        for word in misses:
+            five = miss_system.find_influencers([word], k=5)
+            ten = miss_system.find_influencers([word], k=10)
+            assert ten.seeds[:5] == five.seeds
+            assert ten.marginal_gains[:5] == five.marginal_gains
+            assert sum(five.marginal_gains) == pytest.approx(five.spread)
+            assert ten.spread >= len(ten.seeds)  # every seed is active
+
+    def test_every_statistic_is_a_finite_python_float(
+        self, citation_dataset_module, miss_system, misses
+    ):
+        # Every query is a hit at the widest tolerance.
+        hitting = Octopus.from_dataset(
+            citation_dataset_module, config=_miss_config(gap_tolerance=2.0)
+        )
+        answers = [
+            miss_system.find_influencers([misses[0]], k=3),
+            miss_system.find_influencers([misses[1]], k=12),
+            hitting.find_influencers([misses[0]], k=3),
+        ]
+        assert answers[2].statistics["answered_from_sample"] == 1.0
+        for answer in answers:
+            for key, value in answer.statistics.items():
+                assert type(value) is float and math.isfinite(value), (key, value)
+            assert all(type(gain) is float for gain in answer.marginal_gains)
+        miss = miss_system.find_influencers([misses[0]], k=3).statistics
+        assert miss["answered_from_sample"] == 0.0
+        assert miss["num_rr_sets"] == 400.0
+        assert miss["exact_evaluations"] == 0.0
+        assert miss["candidates_considered"] == float(miss_system.graph.num_nodes)
+        assert {"l1_distance", "coupling_gap"} <= set(miss)
+
+    def test_every_path_to_a_miss_is_the_same_routine(
+        self, citation_dataset_module, miss_system, misses
+    ):
+        """k above topic_sample_max_k and use_topic_samples=False take the
+        routine a miss takes, on the same per-query key."""
+        unsampled = Octopus.from_dataset(
+            citation_dataset_module, config=_miss_config(use_topic_samples=False)
+        )
+        for word in misses:
+            missed = miss_system.find_influencers([word], k=4)
+            direct = unsampled.find_influencers([word], k=4)
+            assert (direct.seeds, direct.spread) == (missed.seeds, missed.spread)
+            beyond = miss_system.find_influencers([word], k=12)
+            assert beyond.seeds[:4] == missed.seeds
+
+    def test_miss_bytes_match_on_every_backend_and_executor(
+        self, citation_dataset_module, misses
+    ):
+        from repro.cluster import ClusterCoordinator
+        from repro.service import (
+            FindInfluencersRequest,
+            OctopusService,
+            deterministic_form,
+        )
+
+        requests = [FindInfluencersRequest([word], k=4) for word in misses]
+
+        def forms(executor):
+            return [deterministic_form(executor.execute(r)) for r in requests]
+
+        def service(**overrides):
+            return OctopusService(
+                Octopus.from_dataset(
+                    citation_dataset_module, config=_miss_config(**overrides)
+                )
+            )
+
+        reference = forms(service())
+        for backend, workers in (("threads", 2), ("threads", 4), ("processes", 2)):
+            pooled = service(execution_backend=backend, workers=workers)
+            try:
+                assert forms(pooled) == reference, (backend, workers)
+            finally:
+                pooled.backend.close()
+        for fan_out in (False, True):
+            for replicas in (1, 2, 4):
+                cluster = ClusterCoordinator(
+                    service(), shards=replicas, fan_out=fan_out, shard_timeout=20.0
+                )
+                try:
+                    assert forms(cluster) == reference, (fan_out, replicas)
+                    stats = cluster.stats()
+                    routed = sum(
+                        stats[f"cluster.shard{shard}.requests"]
+                        for shard in range(replicas)
+                    )
+                    assert routed == len(requests)  # answered by replicas
+                finally:
+                    cluster.close()

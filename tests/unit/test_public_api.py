@@ -33,8 +33,6 @@ MODULES = [
     "repro.cluster.coordinator",
     "repro.cluster.protocol",
     "repro.cluster.worker",
-    "repro.core.besteffort",
-    "repro.core.bounds",
     "repro.core.influencer_index",
     "repro.core.octopus",
     "repro.core.paths",
@@ -68,6 +66,8 @@ MODULES = [
 REFERENCE_MODULES = [
     "reference",
     "reference.analysis",
+    "reference.besteffort",
+    "reference.bounds",
     "reference.cascade",
     "reference.estimators",
     "reference.greedy",

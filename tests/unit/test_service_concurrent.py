@@ -34,7 +34,6 @@ def backend(citation_dataset):
             num_sketches=30,
             num_topic_samples=3,
             topic_sample_rr_sets=150,
-            oracle_samples=15,
             seed=29,
         ),
     )

@@ -38,7 +38,6 @@ def backend(citation_dataset):
             num_sketches=40,
             num_topic_samples=4,
             topic_sample_rr_sets=200,
-            oracle_samples=20,
             seed=17,
         ),
     )

@@ -42,7 +42,6 @@ CONFIG = OctopusConfig(
     num_sketches=40,
     num_topic_samples=3,
     topic_sample_rr_sets=150,
-    oracle_samples=15,
     seed=29,
 )
 
@@ -128,6 +127,7 @@ class TestRoundtrip:
             ("oracle", "mc"),
             ("oracle_rr_sets", 2000),
             ("rr_kernel", "vectorized"),
+            ("oracle_samples", 100),
         ],
     )
     def test_retired_key_still_loads(
@@ -246,6 +246,7 @@ class TestRejection:
             ("sketch_expansion", "node", "sketch_expansion"),
             ("bound_estimator", "local", "bound_estimator"),
             ("oracle", "ris", "oracle"),
+            ("oracle_samples", 30, "oracle_samples"),
             # retired field: the values that are not its retired default
             ("rr_kernel", "legacy", "legacy"),
             ("rr_kernel", "native", "native"),
@@ -275,7 +276,6 @@ class TestSaveGuards:
             num_sketches=40,
             num_topic_samples=3,
             topic_sample_rr_sets=150,
-            oracle_samples=15,
             seed=29,
         )
         system = Octopus.from_dataset(citation_dataset, config=config)

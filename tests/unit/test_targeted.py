@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.targeted import TargetedKeywordIM
+from repro.core.targeted import TargetedKeywordIM, draw_weighted_roots
 from repro.graph.digraph import SocialGraph
 from repro.index.inverted import InvertedIndex
 from repro.topics.edges import TopicEdgeWeights
@@ -124,7 +124,6 @@ class TestOctopusIntegration:
                 num_sketches=40,
                 num_topic_samples=4,
                 topic_sample_rr_sets=200,
-                oracle_samples=20,
                 seed=4,
             ),
         )
@@ -148,7 +147,6 @@ class TestOctopusIntegration:
                 num_sketches=40,
                 num_topic_samples=4,
                 topic_sample_rr_sets=200,
-                oracle_samples=20,
                 seed=4,
             ),
         )
@@ -159,3 +157,26 @@ class TestOctopusIntegration:
             num_sets=300,
         )
         assert len(result.seeds) == 2
+
+
+class TestWeightedRootDraw:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_generator_choice_and_its_next_draw(self, seed):
+        """Searching the nonzero-weight CDF gives Generator.choice's exact
+        indices and leaves the stream where choice leaves it."""
+        rng = np.random.default_rng(seed)
+        weights = np.zeros(2000)
+        users = rng.choice(2000, 100 + 10 * seed, replace=False)
+        weights[users] = rng.integers(1, 9, users.size)
+        if seed % 3 == 0:
+            weights[0] = 1.0  # a weighted first node
+        if seed % 5 == 0:
+            weights[-1] = 2.0  # a weighted last node
+        distribution = weights / weights.sum()
+        expected_rng = np.random.default_rng(seed + 100)
+        drawn_rng = np.random.default_rng(seed + 100)
+        expected = expected_rng.choice(2000, size=5000, p=distribution)
+        drawn = draw_weighted_roots(drawn_rng, distribution, 5000)
+        assert drawn.dtype == expected.dtype
+        np.testing.assert_array_equal(drawn, expected)
+        assert drawn_rng.random() == expected_rng.random()
