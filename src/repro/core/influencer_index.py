@@ -16,11 +16,17 @@ shared thresholds couple all queries (the lazy-propagation sampling of [6]).
   the topic envelope ``max_z pp^z_e`` can never be live for any γ and is
   dropped at build time; only query-dependent edges are materialised.
 * **Delayed materialization** — sketches grow up to ``chunk_size`` nodes at
-  build time and keep their unexplored frontier plus a private RNG stream;
-  a query that needs to know whether a node belongs to a sketch expands it
-  on demand, deterministically.
-* **Membership pruning** — a node→sketches inverted map lets a target-user
-  query touch only the sketches that (currently) contain the user.
+  build time and keep their unexplored frontier plus a private RNG stream.
+  The first query completes every truncated sketch in one pass under the
+  index lock, then indexes their members; a build that already completes
+  every sketch (the default ``chunk_size``) skips the pass.  Each sketch
+  owns its stream, so expansion order changes nothing.
+* **Membership pruning** — the node→sketches inverted map is the only way
+  a query finds its sketches: a target-user query touches exactly the
+  sketches that contain the user (a user in none costs one dict lookup),
+  and a seed-set query the union of its seeds' postings.  On complete
+  sketches ``user ∈ sketch.nodes`` ⇔ ``index ∈ postings[user]``, so this
+  is the full scan's answer, count for count.
 
 Estimator.  ``σ̂_γ(S) = (n / R) · #{sketches whose root is reached from S
 via live edges}`` — the standard unbiased RIS estimator, here evaluated by a
@@ -209,9 +215,11 @@ class InfluencerIndex:
             for rng in rngs:
                 self._sketch_rngs[position] = rng
                 position += 1
-        for index, sketch in enumerate(self.sketches):
-            for node in sketch.nodes:
-                self._membership.setdefault(node, []).append(index)
+        # Postings are read only once every sketch is complete (see
+        # _postings); a build that completes them all indexes them now.
+        self._materialized = False
+        if all(sketch.complete for sketch in self.sketches):
+            self._index_members()
 
     # ------------------------------------------------------------------
     # Construction / delayed materialization
@@ -230,30 +238,45 @@ class InfluencerIndex:
         self._weight_cache.pop(sketch_index, None)
 
     def _materialize(self, sketch_index: int) -> Sketch:
-        """Fully expand a sketch on demand (delayed materialization).
+        """Fully expand one sketch (delayed materialization).
 
         A query evaluated on a truncated sketch would be biased: unexamined
         in-edges of frontier nodes can carry live paths, and a node's
         absence is only proven once the frontier is exhausted.  Expansion
-        is deterministic (per-sketch RNG stream), happens at most once per
-        sketch, and updates the membership map.  Serialized under the index
-        lock so concurrent query threads see consistent sketches.
+        is deterministic (per-sketch RNG stream) and happens at most once
+        per sketch.  It does not touch the postings: :meth:`_postings`
+        indexes members after every sketch is complete.
         """
         sketch = self.sketches[sketch_index]
-        if sketch.complete:
-            return sketch
         with self._lock:
             while not sketch.complete:
                 self._expand(sketch_index, sketch, budget=self.chunk_size)
-            for member in sketch.nodes:
-                postings = self._membership.setdefault(member, [])
-                if sketch_index not in postings:
-                    postings.append(sketch_index)
         return sketch
 
-    def _contains_after_materialize(self, sketch_index: int, node: int) -> bool:
-        """Whether *node* belongs to the (fully materialised) sketch."""
-        return node in self._materialize(sketch_index).nodes
+    def _index_members(self) -> None:
+        """Build the node→sketches postings from complete sketches."""
+        membership: Dict[int, List[int]] = {}
+        for index, sketch in enumerate(self.sketches):
+            for node in sketch.nodes:
+                membership.setdefault(node, []).append(index)
+        self._membership = membership
+        self._materialized = True
+
+    def _postings(self) -> Dict[int, List[int]]:
+        """The node→sketches map over fully materialised sketches.
+
+        The first call on a lazily built index completes every truncated
+        sketch and then indexes all members, in one pass under the index
+        lock; the done-flag is read under the same lock, so no thread sees
+        postings before every list is final.  After that the map is never
+        written again.
+        """
+        with self._lock:
+            if not self._materialized:
+                for sketch_index in range(self.num_sketches):
+                    self._materialize(sketch_index)
+                self._index_members()
+            return self._membership
 
     def _sketch_weights(self, sketch_index: int) -> np.ndarray:
         """Topic-weight rows of a sketch's edges, cached per sketch."""
@@ -269,9 +292,9 @@ class InfluencerIndex:
     # ------------------------------------------------------------------
 
     def sketches_containing(self, node: int) -> List[int]:
-        """Sketch indices currently containing *node* (may grow on demand)."""
+        """Indices, ascending, of the sketches containing *node*."""
         check_node_id(node, self.graph.num_nodes, "node")
-        return list(self._membership.get(node, []))
+        return list(self._postings().get(node, ()))
 
     def _live_reachable(
         self, sketch_index: int, gamma: np.ndarray
@@ -302,9 +325,9 @@ class InfluencerIndex:
         check_node_id(user, self.graph.num_nodes, "user")
         gamma = self._check_gamma(gamma)
         hits = 0
-        for sketch_index in range(self.num_sketches):
-            if not self._contains_after_materialize(sketch_index, user):
-                continue  # membership pruning: user cannot reach this root
+        # Membership pruning: only a sketch containing the user can have
+        # its root reached from the user.
+        for sketch_index in self._postings().get(user, ()):
             if user in self._live_reachable(sketch_index, gamma):
                 hits += 1
         return self.graph.num_nodes * hits / self.num_sketches
@@ -326,9 +349,7 @@ class InfluencerIndex:
                 f"got {gammas.shape[1]}"
             )
         hits = np.zeros(gammas.shape[0], dtype=np.int64)
-        for sketch_index in range(self.num_sketches):
-            if not self._contains_after_materialize(sketch_index, user):
-                continue
+        for sketch_index in self._postings().get(user, ()):
             sketch = self.sketches[sketch_index]
             if sketch.num_edges == 0:
                 if user == sketch.root:
@@ -374,14 +395,15 @@ class InfluencerIndex:
             check_node_id(node, self.graph.num_nodes, "seed")
         if not seed_set:
             return 0.0
-        hits = 0
-        for sketch_index in range(self.num_sketches):
-            members = self._materialize(sketch_index).nodes
-            if seed_set.isdisjoint(members):
-                continue
-            reached = self._live_reachable(sketch_index, gamma)
-            if not seed_set.isdisjoint(reached):
-                hits += 1
+        postings = self._postings()
+        touched: Set[int] = set()
+        for node in seed_set:
+            touched.update(postings.get(node, ()))
+        hits = sum(
+            1
+            for sketch_index in touched
+            if not seed_set.isdisjoint(self._live_reachable(sketch_index, gamma))
+        )
         return self.graph.num_nodes * hits / self.num_sketches
 
     def _check_gamma(self, gamma: np.ndarray) -> np.ndarray:

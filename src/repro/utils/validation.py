@@ -108,7 +108,10 @@ def check_simplex(vector: np.ndarray, name: str, *, atol: float = 1e-6) -> np.nd
     if np.any(array < -atol):
         raise ValidationError(f"{name} must be non-negative, got {array!r}")
     total = float(array.sum())
-    if not np.isclose(total, 1.0, atol=atol):
+    # np.isclose(total, 1.0, atol=atol) inline (its rtol is 1e-05): a
+    # scalar compare instead of an array round trip, and NaN / ±inf still
+    # fail it.
+    if not abs(total - 1.0) <= atol + 1e-05:
         raise ValidationError(
             f"{name} must sum to 1 (got {total:.6f}); normalise it first"
         )

@@ -197,6 +197,7 @@ class TestParallelBuild:
         assert self._fingerprint(forked) == self._fingerprint(serial)
 
     def test_concurrent_queries_materialize_safely(self, setup):
+        import sys
         import threading
 
         _graph, weights, _index = setup
@@ -204,16 +205,233 @@ class TestParallelBuild:
         reference = InfluencerIndex(
             weights, num_sketches=60, chunk_size=4, seed=73
         )
+        # Every thread's first query hits the index before materialization.
+        assert not all(sketch.complete for sketch in index.sketches)
         users = list(range(0, 60, 3))
+        gammas = np.stack([GAMMA, np.array([0.1, 0.2, 0.3, 0.4])])
         results = {}
+        start = threading.Barrier(len(users))
 
         def query(user: int) -> None:
-            results[user] = index.estimate_user_spread(user, GAMMA)
+            start.wait()
+            results[user] = (
+                index.estimate_user_spread(user, GAMMA),
+                index.estimate_user_spread_many(user, gammas).tolist(),
+                index.estimate_seed_set_spread([user, user + 1], GAMMA),
+            )
 
-        pool = [threading.Thread(target=query, args=(user,)) for user in users]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            pool = [
+                threading.Thread(target=query, args=(user,)) for user in users
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         for user in users:
-            assert results[user] == reference.estimate_user_spread(user, GAMMA)
+            assert results[user] == (
+                reference.estimate_user_spread(user, GAMMA),
+                reference.estimate_user_spread_many(user, gammas).tolist(),
+                reference.estimate_seed_set_spread([user, user + 1], GAMMA),
+            )
+        assert all(sketch.complete for sketch in index.sketches)
+
+
+def _brute_force_hits(index, seeds, gamma):
+    """Count the sketches whose root a seed reaches, scanning all of them.
+
+    Independent of the index's own query path: liveness is recomputed from
+    the topic weights, then a reverse BFS runs from every root.
+    """
+    seeds = set(seeds)
+    hits = 0
+    for sketch in index.sketches:
+        assert sketch.complete
+        rows = np.asarray(sketch.edge_ids, dtype=np.int64)
+        live = index.edge_weights.weights[rows] @ gamma >= np.asarray(
+            sketch.edge_thresholds
+        )
+        reached = {sketch.root}
+        changed = True
+        while changed:
+            changed = False
+            for position in np.flatnonzero(live):
+                if (
+                    sketch.edge_targets[position] in reached
+                    and sketch.edge_sources[position] not in reached
+                ):
+                    reached.add(sketch.edge_sources[position])
+                    changed = True
+        hits += not seeds.isdisjoint(reached)
+    return hits
+
+
+def index_estimate(index, seeds, gamma):
+    """The RIS estimate ``n · hits / R`` from a brute-force hit count."""
+    hits = _brute_force_hits(index, seeds, gamma)
+    return index.graph.num_nodes * hits / index.num_sketches
+
+
+class TestInvertedMapQueries:
+    """Spread queries visit only postings, yet equal a scan of every sketch."""
+
+    GAMMAS = np.array(
+        [[0.5, 0.3, 0.1, 0.1], [0.1, 0.1, 0.4, 0.4], [0.0, 0.0, 0.0, 1.0]]
+    )
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        from repro.graph.generators import preferential_attachment_digraph
+
+        graph = preferential_attachment_digraph(60, 2, seed=81)
+        return TopicEdgeWeights.weighted_cascade(graph, 4, seed=82)
+
+    @pytest.mark.parametrize("chunk_size", [100_000, 1])
+    def test_every_node_matches_brute_force(self, weights, chunk_size):
+        index = InfluencerIndex(
+            weights, num_sketches=50, chunk_size=chunk_size, seed=83
+        )
+        if chunk_size == 1:
+            assert not all(sketch.complete for sketch in index.sketches)
+        # The first query completes the lazy index; brute force reads it after.
+        many = {
+            user: index.estimate_user_spread_many(user, self.GAMMAS)
+            for user in range(weights.graph.num_nodes)
+        }
+        for user in range(weights.graph.num_nodes):
+            for row, gamma in enumerate(self.GAMMAS):
+                expected = index_estimate(index, [user], gamma)
+                assert index.estimate_user_spread(user, gamma) == expected
+                assert many[user][row] == expected
+                pair = [user, (user * 7 + 3) % weights.graph.num_nodes]
+                assert index.estimate_seed_set_spread(pair, gamma) == (
+                    index_estimate(index, pair, gamma)
+                )
+
+    def test_postings_are_the_sketch_members(self, weights):
+        lazy = InfluencerIndex(weights, num_sketches=50, chunk_size=1, seed=83)
+        for node in range(weights.graph.num_nodes):
+            assert lazy.sketches_containing(node) == [
+                position
+                for position, sketch in enumerate(lazy.sketches)
+                if node in sketch.nodes
+            ]
+
+    def test_user_in_no_sketch_touches_no_sketch(self, weights, monkeypatch):
+        index = InfluencerIndex(weights, num_sketches=20, seed=84)
+        absent = [
+            node
+            for node in range(weights.graph.num_nodes)
+            if not index.sketches_containing(node)
+        ]
+        assert absent
+        calls = []
+        for name in ("_live_reachable", "_reaches_root", "_materialize"):
+            original = getattr(index, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(index, name, counted)
+        for user in absent:
+            assert index.estimate_user_spread(user, GAMMA) == 0.0
+            assert index.estimate_user_spread_many(user, self.GAMMAS).tolist() == [
+                0.0,
+                0.0,
+                0.0,
+            ]
+            assert index.estimate_seed_set_spread([user], GAMMA) == 0.0
+        assert calls == []
+        # A member of some sketch does reach the evaluators.
+        index.estimate_user_spread(index.sketches[0].root, GAMMA)
+        assert calls
+
+
+def _suggest_system(dataset, chunk_size):
+    from repro.core.octopus import Octopus, OctopusConfig
+
+    config = OctopusConfig(
+        use_topic_samples=False,
+        num_sketches=120,
+        sketch_chunk_size=chunk_size,
+        seed=86,
+    )
+    return Octopus.from_dataset(dataset, config=config)
+
+
+@pytest.fixture(scope="module")
+def suggest_system(citation_dataset):
+    return _suggest_system(citation_dataset, 1_000_000)
+
+
+def _suggest_payload(result):
+    return [
+        result.target,
+        result.keywords,
+        result.spread,
+        result.gamma.tolist(),
+        sorted(result.per_keyword_spread.items()),
+        sorted(result.statistics.items()),
+    ]
+
+
+class TestSuggestAnswersPinned:
+    """Walking postings instead of every sketch changed no suggest answer."""
+
+    @pytest.mark.parametrize("chunk_size", [1_000_000, 2])
+    def test_suggest_digest(self, citation_dataset, chunk_size):
+        import hashlib
+        import json
+
+        system = _suggest_system(citation_dataset, chunk_size)
+        users = sorted(system.user_keywords)[:60]
+        payload = [
+            _suggest_payload(system.suggest_keywords(user, k=3))
+            for user in users
+        ] + [
+            _suggest_payload(system.suggest_keywords(user, k=2, method="exact"))
+            for user in users[:8]
+        ]
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        # Computed by the full-scan evaluator this one replaced, on both
+        # an eager and a lazily materialised index.
+        assert digest == (
+            "2005f4f81539f64240f5404375c1283ba53e44f2ebadd3c0e43b2a38e531d553"
+        )
+
+    def test_user_in_no_sketch_keeps_its_evaluation_count(
+        self, suggest_system, monkeypatch
+    ):
+        index = suggest_system.influencer_index
+        user = next(
+            user
+            for user in sorted(suggest_system.user_keywords)
+            if not index.sketches_containing(user)
+        )
+        calls = []
+        for name in ("_live_reachable", "_reaches_root", "_materialize"):
+            original = getattr(index, name)
+
+            def counted(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(index, name, counted)
+        result = suggest_system.suggest_keywords(user, k=3)
+        assert calls == []
+        assert result.spread == 0.0
+        # The full-scan evaluator's counts for this user.
+        assert (user, result.statistics) == (
+            10,
+            {
+                "candidates_total": 13.0,
+                "candidates_after_pruning": 13.0,
+                "set_evaluations": 24.0,
+            },
+        )

@@ -87,12 +87,53 @@ class TestCheckSimplex:
             check_simplex([1.5, -0.5], "gamma")
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValidationError, match="1-d"):
-            check_simplex(np.eye(2), "gamma")
+        for matrix in (np.eye(2), [[0.5, 0.5]], np.zeros((0, 3))):
+            with pytest.raises(ValidationError, match="1-d"):
+                check_simplex(matrix, "gamma")
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError, match="non-empty"):
-            check_simplex(np.array([]), "gamma")
+        for empty in (np.array([]), []):
+            with pytest.raises(ValidationError, match="non-empty"):
+                check_simplex(empty, "gamma")
+
+    @staticmethod
+    def _accepts(vector, atol):
+        try:
+            check_simplex(vector, "gamma", atol=atol)
+        except ValidationError:
+            return False
+        return True
+
+    # 2**-10 - 1e-5 makes the bound atol + 1e-5 exactly 2**-10, so the
+    # edge totals 1 ± 2**-10 sit exactly on it (a strict < would fail).
+    @pytest.mark.parametrize("atol", [1e-6, 0.0, 1e-3, 2.0**-10 - 1e-05])
+    def test_sum_tolerance_matches_isclose_at_the_boundary(self, atol):
+        """The sum test is np.isclose(total, 1.0, atol=atol) exactly: at
+        ``1 ± (atol + 1e-5)`` and one float either side of each edge."""
+        verdicts = {}
+        for sign in (1.0, -1.0):
+            edge = 1.0 + sign * (atol + 1e-05)
+            for total in (
+                np.nextafter(edge, -np.inf),
+                edge,
+                np.nextafter(edge, np.inf),
+            ):
+                # Split the total over two entries too: the sum is what counts.
+                for vector in ([total], [total / 2.0, total - total / 2.0]):
+                    total_seen = float(np.asarray(vector).sum())
+                    expected = bool(np.isclose(total_seen, 1.0, atol=atol))
+                    assert self._accepts(vector, atol) is expected, vector
+                    verdicts.setdefault(sign, set()).add(expected)
+        # Each edge really separates: both verdicts occur on both sides.
+        assert verdicts == {1.0: {True, False}, -1.0: {True, False}}
+
+    @pytest.mark.parametrize(
+        "vector",
+        [[np.nan], [np.nan, 0.5], [np.inf], [0.5, np.inf], [np.inf, -np.inf]],
+    )
+    def test_rejects_non_finite_sums(self, vector):
+        with pytest.raises(ValidationError):
+            check_simplex(vector, "gamma")
 
 
 class TestCheckNodeId:
