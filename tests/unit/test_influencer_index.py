@@ -271,6 +271,20 @@ def _brute_force_hits(index, seeds, gamma):
     return hits
 
 
+def _count_sketch_visits(index, monkeypatch):
+    """Record every call of *index*'s per-sketch evaluators and expansion."""
+    calls = []
+    for name in ("_live_reachable", "_reaches_root", "_materialize"):
+        original = getattr(index, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(index, name, counted)
+    return calls
+
+
 def index_estimate(index, seeds, gamma):
     """The RIS estimate ``n · hits / R`` from a brute-force hit count."""
     hits = _brute_force_hits(index, seeds, gamma)
@@ -330,15 +344,7 @@ class TestInvertedMapQueries:
             if not index.sketches_containing(node)
         ]
         assert absent
-        calls = []
-        for name in ("_live_reachable", "_reaches_root", "_materialize"):
-            original = getattr(index, name)
-
-            def counted(*args, _original=original, _name=name):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(index, name, counted)
+        calls = _count_sketch_visits(index, monkeypatch)
         for user in absent:
             assert index.estimate_user_spread(user, GAMMA) == 0.0
             assert index.estimate_user_spread_many(user, self.GAMMAS).tolist() == [
@@ -363,11 +369,6 @@ def _suggest_system(dataset, chunk_size):
         seed=86,
     )
     return Octopus.from_dataset(dataset, config=config)
-
-
-@pytest.fixture(scope="module")
-def suggest_system(citation_dataset):
-    return _suggest_system(citation_dataset, 1_000_000)
 
 
 def _suggest_payload(result):
@@ -406,24 +407,17 @@ class TestSuggestAnswersPinned:
         )
 
     def test_user_in_no_sketch_keeps_its_evaluation_count(
-        self, suggest_system, monkeypatch
+        self, citation_dataset, monkeypatch
     ):
-        index = suggest_system.influencer_index
+        system = _suggest_system(citation_dataset, 1_000_000)
+        index = system.influencer_index
         user = next(
             user
-            for user in sorted(suggest_system.user_keywords)
+            for user in sorted(system.user_keywords)
             if not index.sketches_containing(user)
         )
-        calls = []
-        for name in ("_live_reachable", "_reaches_root", "_materialize"):
-            original = getattr(index, name)
-
-            def counted(*args, _original=original):
-                calls.append(args)
-                return _original(*args)
-
-            monkeypatch.setattr(index, name, counted)
-        result = suggest_system.suggest_keywords(user, k=3)
+        calls = _count_sketch_visits(index, monkeypatch)
+        result = system.suggest_keywords(user, k=3)
         assert calls == []
         assert result.spread == 0.0
         # The full-scan evaluator's counts for this user.
